@@ -19,10 +19,9 @@ from itertools import permutations
 import numpy as np
 
 from .errors import CapacityError, ShapeError
-from . import kernels
 
 TABLE_CAP = 24   # largest n for which explicit tables are allowed
-DP_CAP = 16      # largest n for the subset-lattice min-width DP
+DP_CAP = 16      # largest n for the exact-width subset search
 ENUM_CAP = 8     # largest n for the n! enumeration cross-check
 
 
@@ -298,8 +297,8 @@ def _count_for_varset(f, left_vars):
     """Number of pairwise-distinguishable subfunctions with X_A = `left_vars`.
 
     This is the reference route: explicit row matrices plus exact deduplication
-    (and a conflict-graph maximum clique for partial functions). The compiled
-    all-subset kernel is an independent second route used only by the DP oracle.
+    (and a conflict-graph maximum clique for partial functions). The exact-width
+    search builds its cut costs by an independent incremental route.
     """
     n = f.n
     left_vars = tuple(left_vars)
@@ -320,31 +319,34 @@ def _count_for_varset(f, left_vars):
             if key not in distinct:
                 distinct[key] = r
         keep = sorted(distinct.values())
-        return _max_conflict_clique(mask_p[keep], vals_p[keep])
+        return _max_conflict_clique(mask[keep], vals[keep])
     mat = np.zeros((n_rows, n_cols), dtype=np.uint8)
     mat[rows, cols] = f.table
     packed = np.packbits(mat, axis=1)
     return int(np.unique(packed, axis=0).shape[0])
 
 
-def _max_conflict_clique(mask_rows, val_rows):
+def _max_conflict_clique(mask_rows, val_rows, floor=0):
     """Largest set of rows that pairwise provably differ.
 
-    Two partial rows conflict iff some commonly-defined column carries different
-    values. Branch and bound with greedy coloring on the conflict graph.
+    Rows are 0/1 arrays (defined mask, canonical values). Two partial rows
+    conflict iff some commonly-defined column carries different values. Branch
+    and bound with greedy coloring on the conflict graph. With a `floor`, the
+    result is max(floor, clique size), and cliques no larger than the floor
+    are not searched for.
     """
     d = mask_rows.shape[0]
-    if d <= 1:
-        return d
-    adj = [0] * d
-    for i in range(d):
-        conflict = ((mask_rows[i] & mask_rows) & (val_rows[i] ^ val_rows)).any(axis=1)
-        conflict[i] = False
-        bits = 0
-        for j in np.nonzero(conflict)[0]:
-            bits |= 1 << int(j)
-        adj[i] = bits
-    best = 1
+    if d <= 1 or d <= floor:
+        return max(d, floor)
+    # ones[i] @ zeros[j] counts the columns where row i is 1 and row j a defined 0
+    ones = val_rows.astype(np.float64)
+    zeros = mask_rows.astype(np.float64) - ones
+    adj = []
+    for lo in range(0, d, 256):
+        conflict = (ones[lo:lo + 256] @ zeros.T + zeros[lo:lo + 256] @ ones.T) > 0
+        for row in np.packbits(conflict, axis=1, bitorder="little"):
+            adj.append(int.from_bytes(row.tobytes(), "little"))
+    best = max(1, floor)
 
     def expand(size, cand):
         nonlocal best
@@ -394,42 +396,33 @@ def n_pi(f, order):
     return max(subfunction_count(f, Partition(order, u)) for u in range(1, f.n))
 
 
-def _varset_mask(left_vars, n):
-    mask = 0
-    for v in left_vars:
-        mask |= 1 << (n - v)
-    return mask
-
-
-def _mask_varset(mask, n):
-    return tuple(v for v in range(1, n + 1) if (mask >> (n - v)) & 1)
-
-
-def _bottleneck_dp(costs, n):
-    """Exact min over orders of (max over prefix sets of cost), over the subset lattice."""
-    full = (1 << n) - 1
-    size = 1 << n
-    dist = [0] * size
-    masks = sorted(range(1, size), key=lambda m: bin(m).count("1"))
-    for mask in masks:
-        best = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            prev = dist[mask ^ bit]
-            if best is None or prev < best:
-                best = prev
-            rest ^= bit
-        here = 1 if mask == full else int(costs[mask])
-        dist[mask] = here if here > best else best
-    return max(dist[full], 1)
+def require_enumerable(f):
+    """Raise CapacityError unless the n! enumeration strategy accepts f."""
+    if f.n > ENUM_CAP:
+        raise CapacityError("enumeration strategy capped at n <= %d" % ENUM_CAP)
 
 
 def n_min(f, strategy="auto"):
     """Exact minimum over all variable orders of n_pi(f, order).
 
-    Strategies: "auto" picks the subset DP (total) or best-first subset search
-    (partial); "enum" forces the n! enumeration (n <= 8), used as a cross-check.
+    Strategies: "auto" runs the lazy best-first bottleneck search below (total
+    and partial functions alike); "enum" forces the n! enumeration (n <= 8),
+    used as a cross-check.
+
+    The search is the Friedman & Supowit subset DP (IEEE Trans. Computers
+    39(5), 1990) evaluated lazily. A node is a prefix set S of variables; its
+    cost is the subfunction count of the cut after S, and the width of an
+    order is the largest cost on its chain of prefix sets. The search keeps
+    the distinct cofactors of S as bit-packed rows: the rows of S + {v} are
+    the deduplicated v=0 and v=1 halves of the rows of S, so a cost is built
+    from its parent's rows instead of from the table. For a total function
+    the cost is the number of rows; for a partial one a row is a
+    (defined, value) pair and the cost is the largest set of pairwise
+    conflicting rows. Every order has a first and a last cut, so the cheapest
+    first cut and the cheapest last cut both bound the answer from below; LB
+    is the larger of the two. Sets are expanded in the order of
+    (max(bottleneck, LB), -|S|): once the search reaches the bound it goes
+    depth first. A set's rows are dropped once it has been expanded.
     """
     n = f.n
     if strategy not in ("auto", "enum"):
@@ -437,8 +430,7 @@ def n_min(f, strategy="auto"):
     if n == 1:
         return 1
     if strategy == "enum":
-        if n > ENUM_CAP:
-            raise CapacityError("enumeration strategy capped at n <= %d" % ENUM_CAP)
+        require_enumerable(f)
         memo = {}
 
         def cost(left):
@@ -456,41 +448,96 @@ def n_min(f, strategy="auto"):
     if n > DP_CAP:
         raise CapacityError("min-width DP capped at n <= %d" % DP_CAP)
     if isinstance(f, BoolFn):
-        costs = kernels.all_subset_costs(f.table, n)
-        return _bottleneck_dp(costs, n)
+        return _bottleneck_search((f.table,), n, lambda rows, floor: rows.shape[0])
     return _n_min_partial(f)
 
 
 def _n_min_partial(f):
-    """Best-first bottleneck search over the subset lattice with lazy clique costs."""
-    n = f.n
+    """The bottleneck search of a partial function: cut costs are conflict cliques."""
+    return _bottleneck_search((f.defined, f.values), f.n, _clique_cost)
+
+
+def _clique_cost(rows, floor):
+    return _max_conflict_clique(rows[:, 0], rows[:, 1], floor)
+
+
+def _cofactors(planes, n, left_vars):
+    """Rows of the (left variables) x (other variables) matrix of each plane.
+
+    Shape (2**u, planes, 2**(n-u)); columns list the other variables in
+    increasing order, the lowest-numbered one most significant.
+    """
+    c = planes.shape[0]
+    right = [v for v in range(1, n + 1) if v not in left_vars]
+    cube = planes.reshape((c,) + (2,) * n).transpose([0] + list(left_vars) + right)
+    return cube.reshape(c, 1 << len(left_vars), -1).transpose(1, 0, 2)
+
+
+def _distinct(rows):
+    """The distinct rows of a (d, planes, w) bit array, unpacked and bit-packed."""
+    d = rows.shape[0]
+    packed = np.ascontiguousarray(np.packbits(rows.reshape(d, -1), axis=1))
+    if d > 1:
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, keep = np.unique(keys, return_index=True)
+        rows, packed = rows[keep], packed[keep]
+    return rows, packed
+
+
+def _bottleneck_search(planes, n, cost):
+    """Lazy best-first search for min over orders of max over cuts of cost(rows).
+
+    `planes` are the truth-table bit vectors (the table, or the defined mask and
+    the values). `cost(rows, floor)` maps the distinct cofactor rows of a prefix
+    set, shaped (rows, planes, columns), to its cut cost; when that cost is at
+    most `floor` it may return any value up to `floor` instead.
+    """
+    planes = np.stack(planes)
+    c = planes.shape[0]
     full = (1 << n) - 1
-    cost_memo = {}
+    bits = [1 << (n - v) for v in range(1, n + 1)]
+    packed = {}   # prefix set -> packed distinct rows, until it is expanded
+    costs = {}    # prefix set -> cost, or max(cost, key of the set that first reached it)
 
-    def cost(mask):
-        if mask == full:
-            return 1
-        got = cost_memo.get(mask)
-        if got is None:
-            got = _count_for_varset(f, _mask_varset(mask, n))
-            cost_memo[mask] = got
-        return got
+    # The first and last cuts, from the table.
+    for v in range(1, n + 1):
+        for left in ((v,), tuple(u for u in range(1, n + 1) if u != v)):
+            rows, packed_rows = _distinct(_cofactors(planes, n, left))
+            mask = sum(bits[u - 1] for u in left)
+            packed[mask] = packed_rows
+            costs[mask] = cost(rows, 0)
+    lb = max(min(costs[b] for b in bits), min(costs[full ^ b] for b in bits))
 
-    dist = {0: 0}
-    heap = [(0, 0)]
+    packed[0] = np.packbits(planes.reshape(1, -1), axis=1)
+    best = {0: lb}
+    heap = [(lb, 0, 0)]
     while heap:
-        d, mask = heapq.heappop(heap)
+        key, neg_size, mask = heapq.heappop(heap)
         if mask == full:
-            return max(d, 1)
-        if d > dist.get(mask, d):
+            return max(key, 1)
+        if key > best[mask]:
             continue
-        for v in range(1, n + 1):
-            bit = 1 << (n - v)
-            if mask & bit:
-                continue
-            nxt = mask | bit
-            nd = max(d, cost(nxt))
-            if nd < dist.get(nxt, nd + 1):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
+        m = n + neg_size
+        rows = np.unpackbits(packed.pop(mask), axis=1, count=c << m)
+        rows = rows.reshape(-1, c, 1 << m)
+        d = rows.shape[0]
+        free = [v for v in range(1, n + 1) if not mask & bits[v - 1]]
+        for a, v in enumerate(free):
+            child = mask | bits[v - 1]
+            child_cost = costs.get(child)
+            if child_cost is None:
+                if child == full:
+                    child_cost = 1
+                else:
+                    halves = rows.reshape(d, c, 1 << a, 2, 1 << (m - 1 - a))
+                    halves = np.concatenate((halves[:, :, :, 0], halves[:, :, :, 1]))
+                    child_rows, packed[child] = _distinct(halves.reshape(2 * d, c, -1))
+                    # Sets still to be expanded pop with keys >= key, so a
+                    # cost at most key may be recorded as key.
+                    child_cost = max(cost(child_rows, key), key)
+                costs[child] = child_cost
+            child_key = max(key, child_cost)
+            if child_key < best.get(child, child_key + 1):
+                best[child] = child_key
+                heapq.heappush(heap, (child_key, neg_size - 1, child))
     raise AssertionError("subset search must reach the full set")

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .boolfn import Partition, VarOrder, evaluate, n_min, subfunction_count
+from .boolfn import Partition, VarOrder, evaluate, n_min, require_enumerable, subfunction_count
 from .diagrams import LeveledObdd, Nobdd, Pobdd, eval_nobdd, eval_obdd, eval_pobdd, to_text, width
 from .errors import CapacityError, DdlabError, ShapeError, UsageError
 from .experiments import (ExperimentSpec, find_check, parse_function_spec, parse_program_spec,
@@ -69,6 +69,8 @@ def _cmd_nsub(args):
 
 def _cmd_width_exact(args):
     f = parse_function_spec(args.spec)
+    if args.strategy != "auto":
+        require_enumerable(f)
     if args.strategy == "both":
         a = n_min(f, strategy="auto")
         e = n_min(f, strategy="enum")

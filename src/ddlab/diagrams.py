@@ -209,8 +209,13 @@ class Pobdd:
 
 
 def width(program):
-    """Maximum level size — the complexity measure used throughout."""
-    return max(program.widths)
+    """Maximum level size — the complexity measure used throughout.
+
+    A quantum program has one state space for every level, so its width is its
+    dimension.
+    """
+    widths = getattr(program, "widths", None)
+    return program.dim if widths is None else max(widths)
 
 
 def size(program):

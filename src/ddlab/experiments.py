@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixtures, zoo
-from .boolfn import BoolFn, PartialBoolFn, Partition, VarOrder, n_min, subfunction_count
+from .boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, n_min, require_enumerable,
+                     subfunction_count)
 from .diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, build_binary_tree_obdd,
                        function_of, is_commutative, width)
 from .errors import ShapeError, UsageError
@@ -330,6 +331,8 @@ def _run_width_exact(spec):
     p = spec.params
     f = parse_function_spec(p["function"])
     strategy = p.get("strategy", "auto")
+    if strategy in ("enum", "both"):
+        require_enumerable(f)
     measured = {}
     if strategy in ("auto", "both"):
         measured["n_min"] = n_min(f, strategy="auto")

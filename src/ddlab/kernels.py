@@ -1,29 +1,32 @@
-"""Backend selection for the hot counting kernel.
+"""The all-subset row-counting kernel, kept as a reference for tests.
 
-Prefers the compiled extension and falls back to the pure-numpy implementation
-when it is unavailable. Setting the environment variable DDLAB_PURE to a
-non-empty value other than "0" forces the fallback (useful for benchmarking and
-for cross-checking the two routes).
+For every subset of truth-table index bits (encoded as a mask over bit
+positions, where variable v owns index bit n - v), compute the number of
+distinct rows of the table matrix whose row index is the masked bits and whose
+column index is the complementary bits. `boolfn.n_min` does not use it: its
+search builds the costs it needs lazily from cofactor rows.
 """
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _kernels_py
-
-if os.environ.get("DDLAB_PURE", "") not in ("", "0"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
+BACKEND = "python"
 
 
 def all_subset_costs(table, n):
     """Distinct-row count of the (masked bits) x (other bits) matrix, per mask."""
-    return _impl.all_subset_costs(table, n)
+    table = np.ascontiguousarray(table, dtype=np.uint8)
+    size = 1 << n
+    if table.shape != (size,):
+        raise ValueError("table must have length 2**n")
+    out = np.zeros(size, dtype=np.int64)
+    cube = table.reshape((2,) * n)
+    axes = list(range(n))
+    for mask in range(size):
+        left = [p for p in axes if (mask >> (n - 1 - p)) & 1]
+        right = [p for p in axes if not ((mask >> (n - 1 - p)) & 1)]
+        u = len(left)
+        mat = cube.transpose(left + right).reshape(1 << u, 1 << (n - u))
+        packed = np.packbits(mat, axis=1)
+        out[mask] = np.unique(packed, axis=0).shape[0]
+    return out

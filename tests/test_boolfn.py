@@ -1,12 +1,70 @@
 """Truth-table core: orders, partitions, functions, subfunction counts, widths."""
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab.boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, evaluate, n_min, n_pi,
-                          restrict, subfunction_count)
+from ddlab.boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, _count_for_varset,
+                          evaluate, n_min, n_pi, restrict, subfunction_count)
 from ddlab.errors import CapacityError, ShapeError
+from ddlab.kernels import all_subset_costs
+from ddlab.zoo import eq, mod_p
+
+
+def _bottleneck_dp(costs, n):
+    """Reference: min over orders of (max over prefix sets of cost), over the whole lattice."""
+    full = (1 << n) - 1
+    size = 1 << n
+    dist = [0] * size
+    masks = sorted(range(1, size), key=lambda m: bin(m).count("1"))
+    for mask in masks:
+        best = None
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            prev = dist[mask ^ bit]
+            if best is None or prev < best:
+                best = prev
+            rest ^= bit
+        here = 1 if mask == full else int(costs[mask])
+        dist[mask] = here if here > best else best
+    return max(dist[full], 1)
+
+
+def _n_min_partial_reference(f):
+    """Reference: best-first subset search, every cut costed from scratch."""
+    n = f.n
+    full = (1 << n) - 1
+    cost_memo = {}
+
+    def cost(mask):
+        if mask == full:
+            return 1
+        if mask not in cost_memo:
+            left = tuple(v for v in range(1, n + 1) if (mask >> (n - v)) & 1)
+            cost_memo[mask] = _count_for_varset(f, left)
+        return cost_memo[mask]
+
+    dist = {0: 0}
+    heap = [(0, 0)]
+    while heap:
+        d, mask = heapq.heappop(heap)
+        if mask == full:
+            return max(d, 1)
+        if d > dist.get(mask, d):
+            continue
+        for v in range(1, n + 1):
+            bit = 1 << (n - v)
+            if mask & bit:
+                continue
+            nxt = mask | bit
+            nd = max(d, cost(nxt))
+            if nd < dist.get(nxt, nd + 1):
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+    raise AssertionError("subset search must reach the full set")
 
 
 def test_varorder_basics():
@@ -116,21 +174,49 @@ def test_n_min_edge_cases():
     assert n_min(xor3) == 2
 
 
+def _biased_bits(rnd, size, density):
+    return [int(rnd.random() < density) for _ in range(size)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.randoms(use_true_random=False))
-def test_n_min_dp_matches_enumeration(n, rnd):
-    table = [rnd.randint(0, 1) for _ in range(1 << n)]
-    f = BoolFn(n, table)
+@given(st.integers(1, 7), st.sampled_from((0.5, 0.2, 0.05)), st.randoms(use_true_random=False))
+def test_n_min_dp_matches_enumeration(n, density, rnd):
+    f = BoolFn(n, _biased_bits(rnd, 1 << n, density))
     assert n_min(f, strategy="auto") == n_min(f, strategy="enum")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 4), st.randoms(use_true_random=False))
-def test_n_min_partial_dp_matches_enumeration(n, rnd):
-    defined = [rnd.randint(0, 1) for _ in range(1 << n)]
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.sampled_from((0.8, 0.5, 0.2)), st.randoms(use_true_random=False))
+def test_n_min_partial_dp_matches_enumeration(n, density, rnd):
+    defined = _biased_bits(rnd, 1 << n, density)
     values = [rnd.randint(0, 1) & d for d in defined]
     fp = PartialBoolFn(n, defined, values)
     assert n_min(fp, strategy="auto") == n_min(fp, strategy="enum")
+
+
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_n_min_matches_the_lattice_dp_beyond_enumeration(n):
+    rng = np.random.default_rng(900 + n)
+    for density in (0.5, 0.1, 0.02):
+        f = BoolFn(n, (rng.random(1 << n) < density).astype(np.uint8))
+        assert n_min(f) == _bottleneck_dp(all_subset_costs(f.table, n), n)
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_n_min_partial_matches_the_from_scratch_search_beyond_enumeration(n):
+    rng = np.random.default_rng(950 + n)
+    for density in (0.3, 0.05):
+        defined = (rng.random(1 << n) < density).astype(np.uint8)
+        values = rng.integers(0, 2, size=1 << n).astype(np.uint8)
+        fp = PartialBoolFn(n, defined, values)
+        assert n_min(fp) == _n_min_partial_reference(fp)
+
+
+def test_n_min_closed_forms_at_n_14_and_16():
+    # interleaving the two halves of eq keeps every cut at 3 subfunctions, and no
+    # order does better; mod_p needs its p residues
+    assert n_min(eq(16)) == 3
+    assert n_min(mod_p(3, 14)) == 3
 
 
 def test_total_embedding_matches_function():

@@ -89,6 +89,26 @@ def test_capacity_exit_code(capsys):
     assert rc == 3 and "capacity error" in err
 
 
+def test_enumeration_cap_is_checked_before_any_search(capsys, monkeypatch):
+    import ddlab.cli
+    import ddlab.experiments
+    from ddlab.errors import CapacityError
+    from ddlab.experiments import ExperimentSpec, run
+
+    def no_search(f, strategy="auto"):
+        raise AssertionError("n_min ran before the enumeration cap was checked")
+
+    monkeypatch.setattr(ddlab.cli, "n_min", no_search)
+    monkeypatch.setattr(ddlab.experiments, "n_min", no_search)
+    for strategy in ("both", "enum"):
+        rc, _, err = run_cli(capsys, "width-exact", "ws:11", "--strategy", strategy)
+        assert rc == 3 and "capacity error" in err
+        spec = ExperimentSpec(kind="width-exact", check_id="adhoc-width",
+                              params={"function": "ws:11", "strategy": strategy})
+        with pytest.raises(CapacityError):
+            run(spec)
+
+
 def test_build(capsys):
     rc, out, _ = run_cli(capsys, "build", "eq:2")
     assert rc == 0
@@ -111,6 +131,19 @@ def test_reorder_text_mode(capsys):
                          "--mode", "direct", "--text")
     assert rc == 0
     assert out.startswith("obdd 4 1 6")
+
+
+def test_reorder_quantum_base_reports_its_dimension_as_width(capsys):
+    from ddlab.experiments import parse_program_spec
+
+    # the width of a quantum program is its dimension: the lift keeps dim <= q * base dim
+    rc, out, err = run_cli(capsys, "reorder", "eq-qobdd:4", "--layout", "4")
+    assert rc == 0 and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    base = payload["measured"]["base_width"]
+    assert base == parse_program_spec("eq-qobdd:4").dim
+    assert payload["measured"]["width"] <= 4 * base == payload["bound"]["value"]
 
 
 def test_reorder_rejects_non_commutative_base(capsys):

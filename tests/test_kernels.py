@@ -1,33 +1,19 @@
-"""Dual-route checks for the subset-cost kernel: compiled extension vs numpy."""
-import os
-import subprocess
-import sys
-
+"""The all-subset cost kernel, the lattice reference of the exact-width tests."""
 import numpy as np
 import pytest
 
-from ddlab import _kernels_py, kernels
-
-try:
-    from ddlab import _kernels as _compiled
-except ImportError:  # pragma: no cover - depends on the build environment
-    _compiled = None
+from ddlab import kernels
+from ddlab.boolfn import BoolFn, _count_for_varset
 
 
-def _random_tables(rng, n, count=4):
-    return [rng.integers(0, 2, size=1 << n).astype(np.uint8) for _ in range(count)]
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_routes_agree_on_random_tables(n):
-    if _compiled is None:
-        pytest.skip("compiled kernel unavailable")
+@pytest.mark.parametrize("n", range(1, 8))
+def test_costs_match_the_per_subset_reference(n):
     rng = np.random.default_rng(1000 + n)
-    for table in _random_tables(rng, n):
-        a = np.asarray(_compiled.all_subset_costs(table, n))
-        b = np.asarray(_kernels_py.all_subset_costs(table, n))
-        assert a.shape == (1 << n,)
-        assert np.array_equal(a, b), "kernel routes disagree at n=%d" % n
+    f = BoolFn(n, rng.integers(0, 2, size=1 << n).astype(np.uint8))
+    costs = kernels.all_subset_costs(f.table, n)
+    for mask in range(1 << n):
+        left = tuple(v for v in range(1, n + 1) if (mask >> (n - v)) & 1)
+        assert costs[mask] == _count_for_varset(f, left)
 
 
 def test_known_small_costs():
@@ -48,14 +34,5 @@ def test_constant_table_costs_are_one():
     assert costs.tolist() == [1] * 16
 
 
-def test_backend_env_toggle():
-    env = dict(os.environ, DDLAB_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from ddlab import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
 def test_backend_reports_a_known_name():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert kernels.BACKEND == "python"
