@@ -1,7 +1,12 @@
-"""Shared pytest hooks: a visible per-criterion PASS/FAIL summary."""
+"""Shared pytest hooks: a visible per-criterion PASS/FAIL summary, and one
+paper-core suite run shared by the tests that read it."""
 from __future__ import annotations
 
 import re
+
+import pytest
+
+from ddlab.experiments import run_suite
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -16,6 +21,12 @@ _DESCRIPTIONS = {
     8: "unitarity, padding independence, dual-route width agreement, report determinism",
     9: "non-commutative bases are refused and the equality tester fails against negation",
 }
+
+
+@pytest.fixture(scope="session")
+def paper_core_reports():
+    """The reports of one `paper-core` suite run."""
+    return run_suite("paper-core")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -144,7 +144,7 @@ def test_criterion_7_pointer_jumping_walks():
     assert time.monotonic() - start <= 300.0
 
 
-def test_criterion_8_infrastructure_soundness():
+def test_criterion_8_infrastructure_soundness(paper_core_reports):
     # unitarity of every quantum machine the acceptance suite relies on
     machines = []
     for q in (2, 4):
@@ -198,7 +198,7 @@ def test_criterion_8_infrastructure_soundness():
         assert n_min(f, strategy="auto") == n_min(f, strategy="enum")
 
     # repeated runs emit byte-identical reports
-    first = report_emit(run_suite("paper-core"), "json")
+    first = report_emit(paper_core_reports, "json")
     second = report_emit(run_suite("paper-core"), "json")
     assert first.encode("utf-8") == second.encode("utf-8")
 

@@ -1,5 +1,6 @@
 """Experiment specs, runners, reports, digests, and the named suites."""
 import json
+import pathlib
 
 import pytest
 
@@ -120,3 +121,32 @@ def test_seeded_reruns_are_identical():
     a = report_emit(run_suite("quick", seed=5), "json")
     b = report_emit(run_suite("quick", seed=5), "json")
     assert a == b
+
+
+GOLDEN = pathlib.Path(__file__).with_name("data") / "paper_core_golden.json"
+
+
+def _same_measured(got, want):
+    """Equal, except that floats need only agree within 1e-12."""
+    if isinstance(want, float):
+        return isinstance(got, (int, float)) and got == pytest.approx(want, rel=0, abs=1e-12)
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(_same_measured(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_same_measured(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
+def test_paper_core_matches_the_golden_file(paper_core_reports):
+    # tests/data/paper_core_golden.json is written by scripts/make_paper_core_golden.py
+    golden = json.loads(GOLDEN.read_text())
+    assert len(paper_core_reports) == len(golden)
+    for report, want in zip(paper_core_reports, golden):
+        payload = report.canonical_payload()
+        assert payload["spec"]["check_id"] == want["check_id"]
+        assert payload["passed"] == want["passed"], want["check_id"]
+        assert payload["bound"] == want["bound"], want["check_id"]
+        assert payload["claim"] == want["claim"], want["check_id"]
+        assert _same_measured(payload["measured"], want["measured"]), want["check_id"]
