@@ -1,13 +1,31 @@
-"""Leveled deterministic, nondeterministic, and probabilistic branching programs
-(k-layer OBDD variants), their evaluators, width/size measures, a full
-binary-tree builder, and the table-permutation commutativity check.
+"""Leveled branching programs (k-layer OBDD variants) of every kind, the one
+engine that runs them, width/size measures, a full binary-tree builder, and
+the commutativity check.
+
+A program has k*n + 1 levels; level ell (0-based) of layer j reads variable
+order.perm[ell % n], and nodes on a level are 0-indexed. `LeveledProgram`
+holds what the kinds share: n, k, the order, the level widths, the packed
+operator pair of every level (`steps`, one operator per value of the bit
+read) and the layer-end maps. The kinds differ only in how an operator is
+packed and acts on the state, and in how the last state is read out:
+
+  LeveledObdd     index map (int64, w)       node           sink bit
+  Nobdd           boolean matrix (w, w')     reachable set  1 iff a node accepts
+  Pobdd           stochastic matrix (w, w')  distribution   accepting mass
+  QuantumProgram  unitary (dim, dim)         amplitudes     accepting |amp|^2
+                  (quantum.py; one pair per variable, repeated each layer)
+
+`propagate` runs a batch of inputs, a (B, n) bit matrix, through the levels;
+a truth table is the batch of all 2**n inputs. Every whole-table routine,
+the bounded-error check and the commutativity check call it. The per-input
+evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
+`quantum.accept_probability`) share `_evaluate`, the plain per-level loop
+that the batch route is tested against.
 
 Conventions:
-  * programs are leveled: k*n + 1 levels, level ell (0-based) of layer j reads
-    variable order.perm[ell % n]; nodes on a level are 0-indexed;
   * `layer_ends` is an optional per-layer endomap applied to the node reached
     after the layer's last transition; it is pinned in place (never permuted)
-    by the commutativity check and by the reordering transforms, which is what
+    by the commutativity check and by the reordering lifts, which is what
     lets multi-layer walks hand state across layer boundaries without breaking
     within-layer commutativity;
   * programs are immutable after construction; width is max level size and no
@@ -16,6 +34,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -24,10 +43,11 @@ import numpy as np
 from .boolfn import BoolFn, VarOrder
 from .errors import CapacityError, DependencyError, ShapeError, StructuralError
 
-FUNCTION_TABLE_CAP = 16    # exhaustive truth-table extraction cap
+FULL_TABLE_CAP = 16    # largest n whose whole truth table is propagated
 COMMUTATIVITY_INPUT_CAP = 12
 EXHAUSTIVE_PERM_CAP = 5
 PROB_TOL = 1e-9
+_CHUNK_ROWS = 4096     # inputs propagated together
 
 
 def _norm_order(order, n):
@@ -81,141 +101,239 @@ def _norm_sinks(sink_values, width):
     return arr
 
 
-class LeveledObdd:
+def _pad_map(m, width):
+    """Index map extended to `width` nodes; the added nodes map to node 0."""
+    out = np.zeros(width, dtype=np.int64)
+    out[: m.shape[0]] = m
+    return out
+
+
+class _Packed(tuple):
+    """Level operators already in a kind's packed form (the lifts and other
+    internal builders pass these instead of per-node rows)."""
+
+
+class LeveledProgram:
+    """What every program kind shares. A kind supplies its constructor
+    fields (`_FIELDS`), the packing of one level's rows (`_pack_level`), the
+    state dtype or start (`_DTYPE`, `_first`), its operator action (`_act`,
+    `_act_one`, `_step`) and its readout (`_readout`, `_readout_on`). The
+    defaults here are those of the matrix kinds, whose states are row
+    vectors multiplied on the right."""
+
+    __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends")
+
+    def _init_levels(self, n, k, order, widths, start, steps, layer_ends):
+        if k < 1:
+            raise ShapeError("layer count must be >= 1")
+        self.n = int(n)
+        self.k = int(k)
+        self.order = _norm_order(order, self.n)
+        self.widths = _norm_widths(widths, self.k, self.n)
+        self.start = int(start)
+        if not 0 <= self.start < self.widths[0]:
+            raise StructuralError("start node is not on the first level")
+        if len(steps) != self.k * self.n:
+            raise ShapeError("expected %d transition levels, got %d" % (self.k * self.n, len(steps)))
+        packed = []
+        for ell, level in enumerate(steps):
+            if not isinstance(steps, _Packed):
+                if len(level) != self.widths[ell]:
+                    raise ShapeError("level %d must define %d node rows" % (ell, self.widths[ell]))
+                level = self._pack_level(ell, level, self.widths[ell], self.widths[ell + 1])
+            for op in level:
+                op.setflags(write=False)
+            packed.append(tuple(level))
+        self.steps = tuple(packed)
+        self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
+
+    def _norm_accepting(self, accepting):
+        acc = frozenset(int(s) for s in accepting)
+        if any(not 0 <= s < self.widths[-1] for s in acc):
+            raise StructuralError("accepting set names a missing final node")
+        return acc
+
+    def _rebuilt(self, **changes):
+        """A program of the same kind with some constructor fields replaced;
+        its steps are taken as already packed."""
+        fields = {name: changes.get(name, getattr(self, name)) for name in self._FIELDS}
+        fields["steps"] = _Packed(fields["steps"])
+        return type(self)(**fields)
+
+    def _pair(self, ell):
+        """The operator pair of level ell."""
+        return self.steps[ell]
+
+    def _first(self, rows=None):
+        """The start state, or `rows` copies of it."""
+        vec = np.zeros(self.widths[0], dtype=self._DTYPE)
+        vec[self.start] = 1
+        return vec if rows is None else np.tile(vec, (rows, 1))
+
+    def _act(self, states, op):
+        return states @ op
+
+    def _act_one(self, state, op):
+        return self._act(state, op)
+
+    def _step(self, states, pair, bit):
+        """One level on a batch: row i takes pair[bit[i]]."""
+        nxt = np.empty((states.shape[0], pair[0].shape[1]), dtype=states.dtype)
+        for rows, op in ((~bit, pair[0]), (bit, pair[1])):
+            if rows.any():
+                nxt[rows] = self._act(states[rows], op)
+        return nxt
+
+    def _end(self, states, end):
+        mapped = np.zeros_like(states)
+        np.add.at(mapped.T, end, states.T)
+        return mapped
+
+    def _pad(self, op, width):
+        big = np.zeros((width, width), dtype=op.dtype)
+        big[: op.shape[0], : op.shape[1]] = op
+        big[op.shape[0]:, 0] = 1
+        return big
+
+    def _readout_on(self, nodes):
+        """Readout fields of a program whose final node i acts as this
+        program's final node nodes[i] (padding nodes, -1, reject)."""
+        return {"accepting": np.flatnonzero(np.isin(nodes, sorted(self.accepting)))}
+
+    @classmethod
+    def _map_op(cls, m, width):
+        """The operator sending node i to node m[i] on a level of `width` nodes."""
+        op = np.zeros((m.shape[0], width), dtype=cls._DTYPE)
+        op[np.arange(m.shape[0]), m] = 1
+        return op
+
+    @classmethod
+    def _block_op(cls, ops, targets):
+        """Operator on (slot, node) pairs that applies ops[c] to the nodes of
+        slot c and moves them to slot targets[c]."""
+        q, (w, w_next) = len(ops), ops[0].shape
+        big = np.zeros((q, w, q, w_next), dtype=cls._DTYPE)
+        big[np.arange(q), :, targets, :] = np.stack(ops)
+        return big.reshape(q * w, q * w_next)
+
+    def _lifted(self, n, steps, layer_ends, nodes):
+        """The lift with these packed steps, whose node i stands for base node nodes[i]."""
+        width = nodes.shape[0]
+        return self._rebuilt(n=n, order=VarOrder.identity(n), widths=[width] * (self.k * n + 1),
+                             steps=steps, layer_ends=layer_ends, **self._readout_on(nodes))
+
+
+class LeveledObdd(LeveledProgram):
     """Deterministic leveled k-OBDD with explicit per-level transition tables."""
 
-    __slots__ = ("n", "k", "order", "widths", "start", "steps", "layer_ends", "sink_values")
+    __slots__ = ("start", "sink_values")
+    _FIELDS = ("n", "k", "order", "widths", "start", "steps", "sink_values", "layer_ends")
 
     def __init__(self, n, k, order, widths, start, steps, sink_values, layer_ends=None):
-        if k < 1:
-            raise ShapeError("layer count must be >= 1")
-        self.n = int(n)
-        self.k = int(k)
-        self.order = _norm_order(order, self.n)
-        self.widths = _norm_widths(widths, self.k, self.n)
-        self.start = int(start)
-        if not 0 <= self.start < self.widths[0]:
-            raise StructuralError("start node is not on the first level")
-        if len(steps) != self.k * self.n:
-            raise ShapeError("expected %d transition levels, got %d" % (self.k * self.n, len(steps)))
-        packed = []
-        for ell, level in enumerate(steps):
-            w, w_next = self.widths[ell], self.widths[ell + 1]
-            t0 = np.empty(w, dtype=np.int64)
-            t1 = np.empty(w, dtype=np.int64)
-            if len(level) != w:
-                raise ShapeError("level %d must define %d node rows" % (ell, w))
-            for node, row in enumerate(level):
-                a, b = row
-                t0[node], t1[node] = int(a), int(b)
-            for t in (t0, t1):
-                if t.size and (int(t.min()) < 0 or int(t.max()) >= w_next):
-                    raise StructuralError("level %d transition targets a missing node" % ell)
-                t.setflags(write=False)
-            packed.append((t0, t1))
-        self.steps = tuple(packed)
-        self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
+        self._init_levels(n, k, order, widths, start, steps, layer_ends)
         self.sink_values = _norm_sinks(sink_values, self.widths[-1])
 
+    def _pack_level(self, ell, level, w, w_next):
+        rows = np.asarray([tuple(row) for row in level], dtype=np.int64)
+        if rows.shape != (w, 2):
+            raise ShapeError("level %d rows must be (bit-0, bit-1) target pairs" % ell)
+        if int(rows.min()) < 0 or int(rows.max()) >= w_next:
+            raise StructuralError("level %d transition targets a missing node" % ell)
+        return rows[:, 0].copy(), rows[:, 1].copy()
 
-class Nobdd:
+    def _first(self, rows=None):
+        return self.start if rows is None else np.full(rows, self.start, dtype=np.int64)
+
+    def _act(self, states, op):
+        return op[states]
+
+    def _step(self, states, pair, bit):
+        return np.where(bit, pair[1][states], pair[0][states])
+
+    def _end(self, states, end):
+        return end[states]
+
+    def _pad(self, op, width):
+        return _pad_map(op, width)
+
+    def _readout(self, states):
+        return self.sink_values[states]
+
+    def _readout_on(self, nodes):
+        return {"sink_values": np.where(nodes >= 0, self.sink_values[nodes], 0)}
+
+    @classmethod
+    def _map_op(cls, m, width):
+        return np.asarray(m, dtype=np.int64)
+
+    @classmethod
+    def _block_op(cls, ops, targets):
+        w = ops[0].shape[0]
+        return (targets[:, None] * w + np.stack(ops)).ravel()
+
+
+class Nobdd(LeveledProgram):
     """Nondeterministic leveled program: set-valued successors, accepting sinks."""
 
-    __slots__ = ("n", "k", "order", "widths", "start", "steps", "layer_ends", "accepting")
+    __slots__ = ("start", "accepting")
+    _FIELDS = ("n", "k", "order", "widths", "start", "steps", "accepting", "layer_ends")
+    _DTYPE = bool
 
     def __init__(self, n, k, order, widths, start, steps, accepting, layer_ends=None):
-        if k < 1:
-            raise ShapeError("layer count must be >= 1")
-        self.n = int(n)
-        self.k = int(k)
-        self.order = _norm_order(order, self.n)
-        self.widths = _norm_widths(widths, self.k, self.n)
-        self.start = int(start)
-        if not 0 <= self.start < self.widths[0]:
-            raise StructuralError("start node is not on the first level")
-        if len(steps) != self.k * self.n:
-            raise ShapeError("expected %d transition levels, got %d" % (self.k * self.n, len(steps)))
-        packed = []
-        for ell, level in enumerate(steps):
-            w, w_next = self.widths[ell], self.widths[ell + 1]
-            if len(level) != w:
-                raise ShapeError("level %d must define %d node rows" % (ell, w))
-            a0 = np.zeros((w, w_next), dtype=bool)
-            a1 = np.zeros((w, w_next), dtype=bool)
-            for node, row in enumerate(level):
-                for mat, succ in zip((a0, a1), row):
-                    for t in succ:
-                        t = int(t)
-                        if not 0 <= t < w_next:
-                            raise StructuralError("level %d successor targets a missing node" % ell)
-                        mat[node, t] = True
-            a0.setflags(write=False)
-            a1.setflags(write=False)
-            packed.append((a0, a1))
-        self.steps = tuple(packed)
-        self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
-        self.accepting = frozenset(int(s) for s in accepting)
-        if any(not 0 <= s < self.widths[-1] for s in self.accepting):
-            raise StructuralError("accepting set names a missing final node")
+        self._init_levels(n, k, order, widths, start, steps, layer_ends)
+        self.accepting = self._norm_accepting(accepting)
+
+    def _pack_level(self, ell, level, w, w_next):
+        mats = np.zeros((2, w, w_next), dtype=bool)
+        for node, row in enumerate(level):
+            for bit, succ in zip((0, 1), row):
+                for t in succ:
+                    t = int(t)
+                    if not 0 <= t < w_next:
+                        raise StructuralError("level %d successor targets a missing node" % ell)
+                    mats[bit, node, t] = True
+        return mats[0], mats[1]
+
+    def _readout(self, states):
+        return states[..., sorted(self.accepting)].any(axis=-1).astype(np.uint8)
 
 
-class Pobdd:
+class Pobdd(LeveledProgram):
     """Probabilistic leveled program: row-stochastic transitions, accepting sinks."""
 
-    __slots__ = ("n", "k", "order", "widths", "start", "steps", "layer_ends", "accepting", "epsilon")
+    __slots__ = ("start", "accepting", "epsilon")
+    _FIELDS = ("n", "k", "order", "widths", "start", "steps", "accepting", "epsilon", "layer_ends")
+    _DTYPE = np.float64
 
     def __init__(self, n, k, order, widths, start, steps, accepting, epsilon, layer_ends=None):
-        if k < 1:
-            raise ShapeError("layer count must be >= 1")
-        self.n = int(n)
-        self.k = int(k)
-        self.order = _norm_order(order, self.n)
-        self.widths = _norm_widths(widths, self.k, self.n)
-        self.start = int(start)
-        if not 0 <= self.start < self.widths[0]:
-            raise StructuralError("start node is not on the first level")
-        if len(steps) != self.k * self.n:
-            raise ShapeError("expected %d transition levels, got %d" % (self.k * self.n, len(steps)))
-        packed = []
-        for ell, level in enumerate(steps):
-            w, w_next = self.widths[ell], self.widths[ell + 1]
-            if len(level) != w:
-                raise ShapeError("level %d must define %d node rows" % (ell, w))
-            mats = []
-            for bit in (0, 1):
-                m = np.zeros((w, w_next), dtype=np.float64)
-                for node, row in enumerate(level):
-                    vec = np.asarray(row[bit], dtype=np.float64)
-                    if vec.shape != (w_next,):
-                        raise ShapeError(
-                            "level %d node %d bit %d row must have length %d"
-                            % (ell, node, bit, w_next)
-                        )
-                    m[node] = vec
-                if np.any(m < -PROB_TOL):
-                    raise StructuralError("level %d has a negative probability" % ell)
-                sums = m.sum(axis=1)
-                if np.any(np.abs(sums - 1.0) > PROB_TOL):
-                    raise StructuralError("level %d has a non-stochastic row" % ell)
-                m.setflags(write=False)
-                mats.append(m)
-            packed.append((mats[0], mats[1]))
-        self.steps = tuple(packed)
-        self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
-        self.accepting = frozenset(int(s) for s in accepting)
-        if any(not 0 <= s < self.widths[-1] for s in self.accepting):
-            raise StructuralError("accepting set names a missing final node")
+        self._init_levels(n, k, order, widths, start, steps, layer_ends)
+        self.accepting = self._norm_accepting(accepting)
         self.epsilon = float(epsilon)
+
+    def _pack_level(self, ell, level, w, w_next):
+        mats = np.zeros((2, w, w_next), dtype=np.float64)
+        for bit in (0, 1):
+            for node, row in enumerate(level):
+                vec = np.asarray(row[bit], dtype=np.float64)
+                if vec.shape != (w_next,):
+                    raise ShapeError(
+                        "level %d node %d bit %d row must have length %d" % (ell, node, bit, w_next)
+                    )
+                mats[bit, node] = vec
+        if np.any(mats < -PROB_TOL):
+            raise StructuralError("level %d has a negative probability" % ell)
+        if np.any(np.abs(mats.sum(axis=2) - 1.0) > PROB_TOL):
+            raise StructuralError("level %d has a non-stochastic row" % ell)
+        return mats[0], mats[1]
+
+    def _readout(self, states):
+        return states[..., sorted(self.accepting)].sum(axis=-1)
 
 
 def width(program):
-    """Maximum level size — the complexity measure used throughout.
-
-    A quantum program has one state space for every level, so its width is its
-    dimension.
-    """
-    widths = getattr(program, "widths", None)
-    return program.dim if widths is None else max(widths)
+    """Maximum level size — the complexity measure used throughout. A quantum
+    program has one state space for every level, so its width is its dimension."""
+    return max(program.widths)
 
 
 def size(program):
@@ -232,127 +350,122 @@ def _input_bits(x, n):
     return bits
 
 
+def _evaluate(program, x):
+    """The per-input reference route: one plain loop over the levels."""
+    bits = _input_bits(x, program.n)
+    n, perm = program.n, program.order.perm
+    state = program._first()
+    for ell in range(program.k * n):
+        state = program._act_one(state, program._pair(ell)[bits[perm[ell % n] - 1]])
+        if (ell + 1) % n == 0:
+            end = program.layer_ends[ell // n]
+            if end is not None:
+                state = program._end(state, end)
+    return program._readout(state)
+
+
 def eval_obdd(program, x):
     """Follow the unique consistent path; return the sink bit."""
-    bits = _input_bits(x, program.n)
-    node = program.start
-    n = program.n
-    for ell, (t0, t1) in enumerate(program.steps):
-        var = program.order.perm[ell % n]
-        node = int((t1 if bits[var - 1] else t0)[node])
-        if (ell + 1) % n == 0:
-            end = program.layer_ends[(ell + 1) // n - 1]
-            if end is not None:
-                node = int(end[node])
-    return int(program.sink_values[node])
+    return int(_evaluate(program, x))
 
 
 def eval_nobdd(program, x):
     """1 iff some consistent path reaches an accepting sink (set propagation)."""
-    bits = _input_bits(x, program.n)
-    n = program.n
-    reach = np.zeros(program.widths[0], dtype=bool)
-    reach[program.start] = True
-    for ell, (a0, a1) in enumerate(program.steps):
-        var = program.order.perm[ell % n]
-        mat = a1 if bits[var - 1] else a0
-        reach = (reach.astype(np.uint8) @ mat.astype(np.uint8)) > 0
-        if (ell + 1) % n == 0:
-            end = program.layer_ends[(ell + 1) // n - 1]
-            if end is not None:
-                mapped = np.zeros_like(reach)
-                np.logical_or.at(mapped, end, reach)
-                reach = mapped
-    return int(any(reach[s] for s in program.accepting))
+    return int(_evaluate(program, x))
 
 
 def eval_pobdd(program, x):
     """Acceptance probability: forward-propagated node distribution mass on accepting sinks."""
-    bits = _input_bits(x, program.n)
+    return float(_evaluate(program, x))
+
+
+def index_bits(idx, n):
+    """The inputs with truth-table indexes `idx` as rows of bits, x1 first."""
+    return ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+
+
+@functools.lru_cache(maxsize=8)
+def _all_inputs(n):
+    """Every input as a row of bits, in truth-table order (n <= 16; read-only)."""
+    if n > FULL_TABLE_CAP:
+        raise CapacityError("exhaustive truth table capped at n <= %d" % FULL_TABLE_CAP)
+    bits = index_bits(np.arange(1 << n), n)
+    bits.setflags(write=False)
+    return bits
+
+
+def _padded(program):
+    """The program with every level padded to its widest one, so that levels
+    can be applied in any order. Rows of padded nodes go to node 0. They are
+    unreachable in the program's own order; in another order they are used
+    only when the widths differ, and the commutativity check is then free to
+    answer False."""
+    w = width(program)
+    if all(x == w for x in program.widths):
+        return program
+    last = np.arange(w)
+    last[program.widths[-1]:] = -1
+    return program._rebuilt(
+        widths=[w] * len(program.widths),
+        steps=[tuple(program._pad(op, w) for op in pair) for pair in program.steps],
+        layer_ends=[None if e is None else _pad_map(e, w) for e in program.layer_ends],
+        **program._readout_on(last),
+    )
+
+
+def propagate(program, bits, perm=None):
+    """Output of any program kind on each row of `bits`, a (B, n) 0/1 matrix:
+    the sink bit, 1 iff an accepting node is reachable, or the acceptance
+    probability.
+
+    With `perm`, the variables are read in that order instead, each with the
+    operators it has in the program, on the copy padded to the widest level;
+    layer-end maps stay pinned at layer boundaries.
+    """
+    if not isinstance(program, LeveledProgram):
+        raise ShapeError("propagate expects a leveled or quantum program")
+    bits = np.asarray(bits, dtype=bool)
     n = program.n
-    dist = np.zeros(program.widths[0], dtype=np.float64)
-    dist[program.start] = 1.0
-    for ell, (p0, p1) in enumerate(program.steps):
-        var = program.order.perm[ell % n]
-        dist = dist @ (p1 if bits[var - 1] else p0)
-        if (ell + 1) % n == 0:
-            end = program.layer_ends[(ell + 1) // n - 1]
-            if end is not None:
-                mapped = np.zeros_like(dist)
-                np.add.at(mapped, end, dist)
-                dist = mapped
-    return float(sum(dist[s] for s in program.accepting))
+    if bits.ndim != 2 or bits.shape[1] != n:
+        raise ShapeError("expected a (B, %d) bit matrix" % n)
+    if perm is None:
+        perm = program.order.perm
+    else:
+        perm = _norm_order(perm, n).perm
+        program = _padded(program)
+    position = {v: i for i, v in enumerate(program.order.perm)}
+    levels = [(v - 1, program._pair(j * n + position[v])) for j in range(program.k) for v in perm]
+    out = []
+    for lo in range(0, max(bits.shape[0], 1), _CHUNK_ROWS):
+        columns = np.ascontiguousarray(bits[lo: lo + _CHUNK_ROWS].T)
+        states = program._first(columns.shape[1])
+        for ell, (var, pair) in enumerate(levels):
+            states = program._step(states, pair, columns[var])
+            if (ell + 1) % n == 0 and program.layer_ends[ell // n] is not None:
+                states = program._end(states, program.layer_ends[ell // n])
+        out.append(program._readout(states))
+    return np.concatenate(out)
 
 
-def _check_table_cap(n):
-    if n > FUNCTION_TABLE_CAP:
-        raise CapacityError(
-            "exhaustive table extraction capped at n <= %d" % FUNCTION_TABLE_CAP
-        )
+def rounded_table(program):
+    """0/1 output of any program kind on every input (n <= 16); an acceptance
+    probability above 1/2 rounds to 1, a tie to 0."""
+    return (propagate(program, _all_inputs(program.n)) > 0.5).astype(np.uint8)
 
 
 def function_of(program):
     """Truth table computed by a deterministic or nondeterministic program (n <= 16)."""
-    n = program.n
-    _check_table_cap(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    if isinstance(program, LeveledObdd):
-        node = np.full(1 << n, program.start, dtype=np.int64)
-        for ell, (t0, t1) in enumerate(program.steps):
-            var = program.order.perm[ell % n]
-            bit = (idx >> (n - var)) & 1
-            node = np.where(bit == 1, t1[node], t0[node])
-            if (ell + 1) % n == 0:
-                end = program.layer_ends[(ell + 1) // n - 1]
-                if end is not None:
-                    node = end[node]
-        return BoolFn(n, program.sink_values[node])
-    if isinstance(program, Nobdd):
-        reach = np.zeros((1 << n, program.widths[0]), dtype=np.int32)
-        reach[:, program.start] = 1
-        for ell, (a0, a1) in enumerate(program.steps):
-            var = program.order.perm[ell % n]
-            bit = ((idx >> (n - var)) & 1).astype(bool)
-            nxt = np.empty((1 << n, program.widths[ell + 1]), dtype=np.int32)
-            nxt[~bit] = reach[~bit] @ a0.astype(np.int32)
-            nxt[bit] = reach[bit] @ a1.astype(np.int32)
-            reach = np.minimum(nxt, 1)
-            if (ell + 1) % n == 0:
-                end = program.layer_ends[(ell + 1) // n - 1]
-                if end is not None:
-                    mapped = np.zeros_like(reach)
-                    np.add.at(mapped.T, end, reach.T)
-                    reach = np.minimum(mapped, 1)
-        acc = sorted(program.accepting)
-        table = reach[:, acc].max(axis=1) if acc else np.zeros(1 << n, dtype=np.int32)
-        return BoolFn(n, table.astype(np.uint8))
-    raise ShapeError("function_of expects a deterministic or nondeterministic program")
+    bits = _all_inputs(program.n)
+    if not isinstance(program, (LeveledObdd, Nobdd)):
+        raise ShapeError("function_of expects a deterministic or nondeterministic program")
+    return BoolFn(program.n, propagate(program, bits))
 
 
 def acceptance_table(program):
     """Acceptance probability of a Pobdd on every input (n <= 16)."""
     if not isinstance(program, Pobdd):
         raise ShapeError("acceptance_table expects a probabilistic program")
-    n = program.n
-    _check_table_cap(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    dist = np.zeros((1 << n, program.widths[0]), dtype=np.float64)
-    dist[:, program.start] = 1.0
-    for ell, (p0, p1) in enumerate(program.steps):
-        var = program.order.perm[ell % n]
-        bit = ((idx >> (n - var)) & 1).astype(bool)
-        nxt = np.empty((1 << n, program.widths[ell + 1]), dtype=np.float64)
-        nxt[~bit] = dist[~bit] @ p0
-        nxt[bit] = dist[bit] @ p1
-        dist = nxt
-        if (ell + 1) % n == 0:
-            end = program.layer_ends[(ell + 1) // n - 1]
-            if end is not None:
-                mapped = np.zeros_like(dist)
-                np.add.at(mapped.T, end, dist.T)
-                dist = mapped
-    acc = sorted(program.accepting)
-    return dist[:, acc].sum(axis=1) if acc else np.zeros(1 << n, dtype=np.float64)
+    return propagate(program, _all_inputs(program.n))
 
 
 def build_binary_tree_obdd(f, live=None):
@@ -411,114 +524,10 @@ def build_binary_tree_obdd(f, live=None):
     )
 
 
-def _padded_tables(program):
-    """Per-layer, per-variable transition tables padded to the common width.
-
-    Rows for padded node ids target node 0 (they are unreachable in the
-    original order; permuted application uses them only for programs that are
-    not width-uniform, where the check is then free to answer False).
-    Returns (W, tables, ends, sinks): tables[j][v] = (f0, f1) endomaps on
-    {0..W-1}; ends[j] is the padded layer-end endomap or None.
-    """
-    n, k = program.n, program.k
-    w_max = width(program)
-    deterministic = isinstance(program, LeveledObdd)
-    tables = []
-    for j in range(k):
-        per_var = {}
-        for pos in range(n):
-            var = program.order.perm[pos]
-            ell = j * n + pos
-            if deterministic:
-                pair = []
-                for t in program.steps[ell]:
-                    f = np.zeros(w_max, dtype=np.int64)
-                    f[: t.shape[0]] = t
-                    f.setflags(write=False)
-                    pair.append(f)
-                per_var[var] = tuple(pair)
-            else:
-                pair = []
-                for m in program.steps[ell]:
-                    big = np.zeros((w_max, w_max), dtype=m.dtype)
-                    big[: m.shape[0], : m.shape[1]] = m
-                    if m.dtype == np.float64:
-                        big[m.shape[0]:, 0] = 1.0
-                    else:
-                        big[m.shape[0]:, 0] = True
-                    big.setflags(write=False)
-                    pair.append(big)
-                per_var[var] = tuple(pair)
-        tables.append(per_var)
-    ends = []
-    for j in range(k):
-        end = program.layer_ends[j]
-        if end is None:
-            ends.append(None)
-        else:
-            e = np.zeros(w_max, dtype=np.int64)
-            e[: end.shape[0]] = end
-            e.setflags(write=False)
-            ends.append(e)
-    sinks = np.zeros(w_max, dtype=np.float64)
-    if deterministic:
-        sinks[: program.sink_values.shape[0]] = program.sink_values
-    else:
-        for s in program.accepting:
-            sinks[s] = 1.0
-    return w_max, tables, ends, sinks
-
-
 def _permuted_profile(program, perm, padded):
-    """Output profile of the program with tables applied in variable order `perm`.
-
-    Deterministic/nondeterministic: 0/1 table. Probabilistic: acceptance
-    probabilities. Layer-end maps stay pinned at their layer boundaries.
-    """
-    w_max, tables, ends, sinks = padded
-    n, k = program.n, program.k
-    idx = np.arange(1 << n, dtype=np.int64)
-    if isinstance(program, LeveledObdd):
-        node = np.full(1 << n, program.start, dtype=np.int64)
-        for j in range(k):
-            for var in perm:
-                f0, f1 = tables[j][var]
-                bit = (idx >> (n - var)) & 1
-                node = np.where(bit == 1, f1[node], f0[node])
-            if ends[j] is not None:
-                node = ends[j][node]
-        return sinks[node]
-    if isinstance(program, Nobdd):
-        reach = np.zeros((1 << n, w_max), dtype=np.int32)
-        reach[:, program.start] = 1
-        for j in range(k):
-            for var in perm:
-                a0, a1 = tables[j][var]
-                bit = ((idx >> (n - var)) & 1).astype(bool)
-                nxt = np.empty_like(reach)
-                nxt[~bit] = reach[~bit] @ a0.astype(np.int32)
-                nxt[bit] = reach[bit] @ a1.astype(np.int32)
-                reach = np.minimum(nxt, 1)
-            if ends[j] is not None:
-                mapped = np.zeros_like(reach)
-                np.add.at(mapped.T, ends[j], reach.T)
-                reach = np.minimum(mapped, 1)
-        return np.minimum(reach @ sinks, 1.0)
-    dist = np.zeros((1 << n, w_max), dtype=np.float64)
-    dist[:, program.start] = 1.0
-    for j in range(k):
-        for var in perm:
-            p0, p1 = tables[j][var]
-            bit = ((idx >> (n - var)) & 1).astype(bool)
-            nxt = np.empty_like(dist)
-            nxt[~bit] = dist[~bit] @ p0
-            nxt[bit] = dist[bit] @ p1
-            dist = nxt
-        if ends[j] is not None:
-            mapped = np.zeros_like(dist)
-            np.add.at(mapped.T, ends[j], dist.T)
-            dist = mapped
-    return dist @ sinks
+    """Output of the program on every input with its variables read in order
+    `perm`; `padded` is the program padded to its widest level."""
+    return propagate(padded, _all_inputs(program.n), perm)
 
 
 def sample_orders(n, trials, seed):
@@ -535,8 +544,9 @@ def sample_orders(n, trials, seed):
 
 
 def is_commutative(program, trials=1000, seed=0, tol=PROB_TOL):
-    """True iff applying the per-variable tables in any order leaves the
-    computed function (or acceptance profile) unchanged.
+    """True iff reading the variables in any order, each with its own
+    operators, leaves the output on every input unchanged (within `tol` for
+    acceptance probabilities). Works for every program kind.
 
     All n! orders are tried when n <= 5, otherwise `trials` seeded random
     orders. Functional equality is checked on all 2**n inputs (n <= 12).
@@ -546,62 +556,32 @@ def is_commutative(program, trials=1000, seed=0, tol=PROB_TOL):
         raise CapacityError(
             "commutativity check capped at n <= %d" % COMMUTATIVITY_INPUT_CAP
         )
-    padded = _padded_tables(program)
-    baseline = _permuted_profile(program, program.order.perm, padded)
+    padded = _padded(program)
+    baseline = _permuted_profile(program, program.order.perm, padded).astype(np.float64)
     for perm in sample_orders(n, trials, seed):
-        profile = _permuted_profile(program, perm, padded)
-        if isinstance(program, Pobdd):
-            if np.max(np.abs(profile - baseline)) > tol:
-                return False
-        else:
-            if not np.array_equal(profile, baseline):
-                return False
+        if np.any(np.abs(_permuted_profile(program, perm, padded) - baseline) > tol):
+            return False
     return True
+
+
+def _embedded(program, kind, **fields):
+    """The deterministic program as a `kind` program whose operators are its index maps."""
+    steps = [tuple(kind._map_op(t, program.widths[ell + 1]) for t in pair)
+             for ell, pair in enumerate(program.steps)]
+    return kind(n=program.n, k=program.k, order=program.order, widths=program.widths,
+                start=program.start, steps=_Packed(steps),
+                accepting=np.flatnonzero(program.sink_values), layer_ends=program.layer_ends,
+                **fields)
 
 
 def embed_obdd_as_nobdd(program):
     """Deterministic program as an Nobdd with singleton successor sets."""
-    steps = []
-    for t0, t1 in program.steps:
-        steps.append([((int(t0[s]),), (int(t1[s]),)) for s in range(t0.shape[0])])
-    accepting = [s for s in range(program.widths[-1]) if program.sink_values[s]]
-    return Nobdd(
-        n=program.n,
-        k=program.k,
-        order=program.order,
-        widths=program.widths,
-        start=program.start,
-        steps=steps,
-        accepting=accepting,
-        layer_ends=[None if e is None else e.copy() for e in program.layer_ends],
-    )
+    return _embedded(program, Nobdd)
 
 
 def embed_obdd_as_pobdd(program, epsilon=0.5):
     """Deterministic program as a Pobdd with one-hot rows (probability 0/1)."""
-    steps = []
-    for ell, (t0, t1) in enumerate(program.steps):
-        w_next = program.widths[ell + 1]
-        rows = []
-        for s in range(t0.shape[0]):
-            r0 = np.zeros(w_next)
-            r1 = np.zeros(w_next)
-            r0[int(t0[s])] = 1.0
-            r1[int(t1[s])] = 1.0
-            rows.append((r0, r1))
-        steps.append(rows)
-    accepting = [s for s in range(program.widths[-1]) if program.sink_values[s]]
-    return Pobdd(
-        n=program.n,
-        k=program.k,
-        order=program.order,
-        widths=program.widths,
-        start=program.start,
-        steps=steps,
-        accepting=accepting,
-        epsilon=epsilon,
-        layer_ends=[None if e is None else e.copy() for e in program.layer_ends],
-    )
+    return _embedded(program, Pobdd, epsilon=epsilon)
 
 
 def to_text(program):

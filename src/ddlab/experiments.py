@@ -31,8 +31,8 @@ import numpy as np
 from . import fixtures, zoo
 from .boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, n_min, require_enumerable,
                      subfunction_count)
-from .diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, build_binary_tree_obdd,
-                       function_of, is_commutative, width)
+from .diagrams import (LeveledObdd, Nobdd, Pobdd, build_binary_tree_obdd, is_commutative,
+                       rounded_table, width)
 from .errors import ShapeError, UsageError
 from .quantum import QuantumProgram, accept_probability, check_unitary, computes_with_bounded_error
 from .quantum import acceptance_table as quantum_acceptance_table
@@ -173,15 +173,6 @@ def _resolve_target(obj):
     raise UsageError("cannot resolve target spec %r" % (obj,))
 
 
-def _program_table(program):
-    """0/1 output table of any program kind (probabilities rounded at 1/2)."""
-    if isinstance(program, QuantumProgram):
-        return (quantum_acceptance_table(program) > 0.5).astype(np.uint8)
-    if isinstance(program, Pobdd):
-        return (acceptance_table(program) > 0.5).astype(np.uint8)
-    return function_of(program).table
-
-
 def _resolve_table(obj):
     """(table, n, description) for either side of an equivalence check."""
     if isinstance(obj, str):
@@ -190,7 +181,7 @@ def _resolve_table(obj):
             return f.table, f.n, obj
         except UsageError:
             p = parse_program_spec(obj)
-            return _program_table(p), p.n, obj
+            return rounded_table(p), p.n, obj
     if isinstance(obj, dict) and "lift-of" in obj:
         program = _resolve_program(obj)
         desc = "%s-lift of %s" % (obj.get("mode", "xor"), obj["lift-of"])
@@ -199,7 +190,7 @@ def _resolve_table(obj):
                                   BlockLayout(obj["layout"]), obj.get("mode", "xor"))
             f = totalize(fp, program)
             return f.table, f.n, "totalize(%s)" % desc
-        return _program_table(program), program.n, desc
+        return rounded_table(program), program.n, desc
     raise UsageError("cannot resolve table spec %r" % (obj,))
 
 
@@ -214,7 +205,7 @@ def _base_function(program_spec):
             p, n = (int(a) for a in rest.split(","))
             return zoo.mod_p(p, n)
         raise UsageError("no function route for %r" % program_spec)
-    return BoolFn(program.n, _program_table(program))
+    return BoolFn(program.n, rounded_table(program))
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +508,14 @@ def _run_reorder_roundtrip(spec):
     base_w = width(base)
     bound = dict(p.get("width-bound") or
                  {"op": "<=", "value": layout.q * base_w, "expression": "q*width(base)"})
-    lift_table = _program_table(lifted)
+    lift_table = rounded_table(lifted)
     if p.get("right"):
         ref = parse_function_spec(p["right"])
         idx = np.arange(1 << lifted.n)
         ref_vals = ref.table
         scope_desc = "all %d inputs" % idx.size
     else:
-        fp = reorder_function(BoolFn(base.n, _program_table(base)), layout, mode)
+        fp = reorder_function(BoolFn(base.n, rounded_table(base)), layout, mode)
         idx = allowed_input_indexes(layout, mode)
         ref_vals = fp.values
         scope_desc = "all %d allowed inputs" % idx.size

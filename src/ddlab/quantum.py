@@ -1,38 +1,40 @@
 """Exact state-vector simulation of quantum leveled programs: unitary
 transition pairs selected by input bits, a single end-of-run measurement
-against an accepting subset, bounded-error verdicts, and the quantum
-commutativity check via transition-pair reordering.
+against an accepting subset, bounded-error verdicts for every program kind,
+and the quantum commutativity cap.
+
+A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
+matrix acting on a column of amplitudes, so it runs on the same engine as the
+classical kinds: `diagrams.propagate` for batches and `diagrams._evaluate`
+for one input. Batches apply `states[rows] @ g.T` in chunks of
+`diagrams._CHUNK_ROWS` rows; one input applies `g @ state`.
 
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
     on the accepting subset;
   * accepting states are 1-indexed (state i refers to amplitude index i-1);
   * one transition pair per variable; for k-layer programs the same n pairs
-    repeat each layer;
+    repeat each layer; every level has `dim` states;
   * tolerances: unitarity and per-step norm conservation 1e-9, initial norm
     1e-12, probability comparisons 1e-9.
 """
 from __future__ import annotations
 
-import itertools
 import json
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boolfn import BoolFn, PartialBoolFn, VarOrder
+from .diagrams import (FULL_TABLE_CAP, PROB_TOL, LeveledProgram, _evaluate, _norm_order,
+                       index_bits, is_commutative, propagate)
 from .errors import CapacityError, ShapeError, StructuralError
 
 DIM_CAP = 4096
 UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
 INITIAL_NORM_TOL = 1e-12
-PROB_TOL = 1e-9
-TABLE_CAP = 16
 COMMUTATIVITY_INPUT_CAP = 10
-EXHAUSTIVE_PERM_CAP = 5
-_CHUNK_ROWS = 4096
 
 
 def _as_unitary(mat, dim, where):
@@ -49,10 +51,14 @@ def _as_unitary(mat, dim, where):
     return g
 
 
-class QuantumProgram:
-    """Leveled quantum program: pairs of unitaries per variable, one measurement."""
+class QuantumProgram(LeveledProgram):
+    """Leveled quantum program: pairs of unitaries per variable, one measurement.
 
-    __slots__ = ("n", "dim", "order", "k", "initial", "steps", "accept")
+    Amplitudes are column vectors (one step is `g @ state`), so a batch of row
+    states is multiplied by `g.T`, and the lift's operators are the
+    transposes of the classical row-vector ones."""
+
+    __slots__ = ("dim", "initial", "accept")
 
     def __init__(self, n, dim, order, initial, steps, accept, k=1):
         self.n = int(n)
@@ -64,11 +70,9 @@ class QuantumProgram:
         self.k = int(k)
         if self.k < 1:
             raise ShapeError("layer count must be >= 1")
-        if not isinstance(order, VarOrder):
-            order = VarOrder(order)
-        if order.n != self.n:
-            raise ShapeError("order length does not match n")
-        self.order = order
+        self.order = _norm_order(order, self.n)
+        self.widths = (self.dim,) * (self.k * self.n + 1)
+        self.layer_ends = (None,) * self.k
         vec = np.asarray(initial, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ShapeError("initial state must have length dim")
@@ -82,16 +86,11 @@ class QuantumProgram:
         self.initial = vec
         if len(steps) != self.n:
             raise ShapeError("expected %d transition pairs, got %d" % (self.n, len(steps)))
-        packed = []
-        for i, pair in enumerate(steps):
-            g0, g1 = pair
-            packed.append(
-                (
-                    _as_unitary(g0, self.dim, "step %d bit-0 matrix" % (i + 1)),
-                    _as_unitary(g1, self.dim, "step %d bit-1 matrix" % (i + 1)),
-                )
-            )
-        self.steps = tuple(packed)
+        self.steps = tuple(
+            (_as_unitary(g0, self.dim, "step %d bit-0 matrix" % (i + 1)),
+             _as_unitary(g1, self.dim, "step %d bit-1 matrix" % (i + 1)))
+            for i, (g0, g1) in enumerate(steps)
+        )
         acc = frozenset(int(s) for s in accept)
         if any(not 1 <= s <= self.dim for s in acc):
             raise StructuralError("accepting set must be a subset of {1..dim}")
@@ -100,6 +99,45 @@ class QuantumProgram:
     def pair_for_variable(self, var):
         """The transition pair applied when variable `var` is read."""
         return self.steps[self.order.position_of(var) - 1]
+
+    def _pair(self, ell):
+        return self.steps[ell % self.n]
+
+    def _first(self, rows=None):
+        return self.initial.copy() if rows is None else np.tile(self.initial, (rows, 1))
+
+    def _act(self, states, g):
+        return states @ g.T
+
+    def _act_one(self, state, g):
+        state = g @ state
+        norm = float(np.linalg.norm(state))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise StructuralError("state norm drifted to %.15g during the run" % norm)
+        return state
+
+    def _readout(self, states):
+        return np.sum(np.abs(states[..., [s - 1 for s in sorted(self.accept)]]) ** 2, axis=-1)
+
+    @classmethod
+    def _map_op(cls, m, width):
+        op = np.zeros((width, m.shape[0]), dtype=np.complex128)
+        op[m, np.arange(m.shape[0])] = 1
+        return op
+
+    @classmethod
+    def _block_op(cls, ops, targets):
+        q, w = len(ops), ops[0].shape[0]
+        big = np.zeros((q, w, q, w), dtype=np.complex128)
+        big[targets, :, np.arange(q), :] = np.stack(ops)
+        return big.reshape(q * w, q * w)
+
+    def _lifted(self, n, steps, layer_ends, nodes):
+        initial = np.zeros(nodes.shape[0], dtype=np.complex128)
+        initial[: self.dim] = self.initial
+        return QuantumProgram(n=n, dim=nodes.shape[0], order=VarOrder.identity(n),
+                              initial=initial, steps=steps, k=self.k,
+                              accept=1 + np.flatnonzero(np.isin(nodes + 1, sorted(self.accept))))
 
 
 def programs_equal(p, q):
@@ -117,59 +155,22 @@ def programs_equal(p, q):
 
 
 def accept_probability(program, x):
-    """Apply the k*n unitaries selected by x; return accepting-subset mass."""
-    bits = [int(b) for b in x]
-    if len(bits) != program.n:
-        raise ShapeError("expected %d input bits, got %d" % (program.n, len(bits)))
-    if any(b not in (0, 1) for b in bits):
-        raise ShapeError("input bits must be 0 or 1")
-    state = program.initial.copy()
-    for _ in range(program.k):
-        for pos in range(program.n):
-            var = program.order.perm[pos]
-            g = program.steps[pos][bits[var - 1]]
-            state = g @ state
-            norm = float(np.linalg.norm(state))
-            if abs(norm - 1.0) > NORM_TOL:
-                raise StructuralError(
-                    "state norm drifted to %.15g during the run" % norm
-                )
-    acc = sorted(program.accept)
-    return float(np.sum(np.abs(state[[s - 1 for s in acc]]) ** 2)) if acc else 0.0
+    """Apply the k*n unitaries selected by x, checking the norm after each;
+    return accepting-subset mass. The per-input reference route."""
+    return float(_evaluate(program, x))
 
 
 def _acceptance_for_inputs(program, idx):
-    """Vectorized acceptance probabilities for the given input indexes."""
-    n = program.n
-    out = np.empty(idx.shape[0], dtype=np.float64)
-    acc = np.array([s - 1 for s in sorted(program.accept)], dtype=np.int64)
-    for lo in range(0, idx.shape[0], _CHUNK_ROWS):
-        chunk = idx[lo: lo + _CHUNK_ROWS]
-        states = np.tile(program.initial, (chunk.shape[0], 1))
-        for _ in range(program.k):
-            for pos in range(n):
-                var = program.order.perm[pos]
-                bit = ((chunk >> (n - var)) & 1).astype(bool)
-                g0, g1 = program.steps[pos]
-                nxt = np.empty_like(states)
-                if np.any(~bit):
-                    nxt[~bit] = states[~bit] @ g0.T
-                if np.any(bit):
-                    nxt[bit] = states[bit] @ g1.T
-                states = nxt
-        if acc.size:
-            out[lo: lo + _CHUNK_ROWS] = np.sum(np.abs(states[:, acc]) ** 2, axis=1)
-        else:
-            out[lo: lo + _CHUNK_ROWS] = 0.0
-    return out
+    """Acceptance probabilities of any program kind on the given input
+    indexes (0/1 for deterministic and nondeterministic programs)."""
+    return propagate(program, index_bits(idx, program.n)).astype(np.float64)
 
 
 def acceptance_table(program):
     """Acceptance probability on every input, index = bin(x_1..x_n) (n <= 16)."""
-    if program.n > TABLE_CAP:
-        raise CapacityError("exhaustive acceptance table capped at n <= %d" % TABLE_CAP)
-    idx = np.arange(1 << program.n, dtype=np.int64)
-    return _acceptance_for_inputs(program, idx)
+    if program.n > FULL_TABLE_CAP:
+        raise CapacityError("exhaustive acceptance table capped at n <= %d" % FULL_TABLE_CAP)
+    return _acceptance_for_inputs(program, np.arange(1 << program.n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -209,29 +210,14 @@ class BoundedErrorVerdict:
     zeros_checked: int
 
 
-def _program_acceptance(program, idx):
-    """Acceptance probabilities on the given input indexes for a quantum or
-    probabilistic program (deterministic programs are 0/1 probabilities)."""
-    if isinstance(program, QuantumProgram):
-        return _acceptance_for_inputs(program, idx)
-    from . import diagrams
-
-    if isinstance(program, diagrams.Pobdd):
-        table = diagrams.acceptance_table(program)
-        return table[idx]
-    if isinstance(program, (diagrams.LeveledObdd, diagrams.Nobdd)):
-        table = diagrams.function_of(program).table.astype(np.float64)
-        return table[idx]
-    raise ShapeError("bounded-error check expects a quantum or classical program")
-
-
 def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     """Verdict with worst-case margins: acceptance >= 1/2+eps on every defined
     1-input and <= 1/2-eps on every defined 0-input (within 1e-9).
 
     Exhaustive over all 2**n inputs when n <= 16 and `samples` is None;
-    otherwise checks `samples` seeded random inputs. Undefined points of a
-    partial target are skipped.
+    otherwise checks `samples` seeded random inputs, and only those are
+    propagated. Works for every program kind. Undefined points of a partial
+    target are skipped.
     """
     n = program.n
     if isinstance(f, PartialBoolFn):
@@ -247,16 +233,16 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     else:
         raise ShapeError("bounded-error target must be a truth-table function")
     if samples is None:
-        if n > TABLE_CAP:
+        if n > FULL_TABLE_CAP:
             raise CapacityError(
-                "exhaustive bounded-error check capped at n <= %d; pass samples=" % TABLE_CAP
+                "exhaustive bounded-error check capped at n <= %d; pass samples=" % FULL_TABLE_CAP
             )
         idx = np.arange(1 << n, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, 1 << n, size=int(samples), dtype=np.int64)
     idx = idx[defined[idx]]
-    probs = _program_acceptance(program, idx)
+    probs = _acceptance_for_inputs(program, idx)
     vals = values[idx]
     ones = probs[vals == 1]
     zeros = probs[vals == 0]
@@ -295,29 +281,14 @@ def reorder_quantum(program, order2):
 
 
 def is_commutative_quantum(program, trials=50, seed=0, tol=PROB_TOL):
-    """True iff every sampled reordering leaves the acceptance profile
-    unchanged on all 2**n inputs within tol (all n! orders when n <= 5)."""
-    n = program.n
-    if n > COMMUTATIVITY_INPUT_CAP:
+    """`diagrams.is_commutative` under the quantum cap n <= 10: True iff every
+    sampled reordering leaves the acceptance profile unchanged on all 2**n
+    inputs within tol (all n! orders when n <= 5)."""
+    if program.n > COMMUTATIVITY_INPUT_CAP:
         raise CapacityError(
             "quantum commutativity check capped at n <= %d" % COMMUTATIVITY_INPUT_CAP
         )
-    baseline = acceptance_table(program)
-    if n <= EXHAUSTIVE_PERM_CAP:
-        perms = itertools.permutations(range(1, n + 1))
-    else:
-        rng = random.Random(seed)
-        sampled = []
-        for _ in range(trials):
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            sampled.append(tuple(perm))
-        perms = sampled
-    for perm in perms:
-        table = acceptance_table(reorder_quantum(program, perm))
-        if float(np.max(np.abs(table - baseline))) > tol:
-            return False
-    return True
+    return is_commutative(program, trials=trials, seed=seed, tol=tol)
 
 
 def _complex_to_pairs(arr):

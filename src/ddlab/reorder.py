@@ -14,18 +14,22 @@ Addresses are handled 0-based internally (the 1-based convention used in
 prose is this value plus one). An input is *allowed* when the q block
 addresses form a permutation of {0..q-1}.
 
-The program-level lifts share one state organization: q address slots times
-the (width-padded) base state space; the address slot accumulates the current
-block's addressing, the value bit applies the base program's transition for
-the addressed variable and then resets the slot (direct) or keeps the running
-xor (xor). Base layer-end maps stay pinned at lifted layer boundaries, where
-the address slot is re-seeded to 0.
+`lift` is the paper's program-level construction, one for every program
+kind. Its states are q address slots times the (width-padded) base state
+space. An address bit moves the slot: its operator is the slot map tensored
+with the identity on base states. The value bit applies, block-diagonally,
+the base program's operator of the addressed variable, and then resets the
+slot (direct) or keeps the running xor (xor). The width is therefore exactly
+q times the base width. Base layer-end maps stay pinned at lifted layer
+boundaries, where the address slot is re-seeded to 0. `reorder_obdd`,
+`reorder_nobdd`, `reorder_pobdd` and `xor_reorder_qobdd` are `lift` for one
+kind each; the quantum lift needs xor mode, since a reset is not unitary.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BoolFn, PartialBoolFn, VarOrder
+from .boolfn import BoolFn, PartialBoolFn
 from .errors import CapacityError, CommutativityError, ConsistencyError, ShapeError
 from . import diagrams
 from . import quantum as qsim
@@ -176,17 +180,6 @@ def reorder_function(f, layout, mode):
     return PartialBoolFn(layout.n, defined, values)
 
 
-def _program_output_table(program):
-    """Total rounded 0/1 output of any program kind over all inputs."""
-    if isinstance(program, qsim.QuantumProgram):
-        return (qsim.acceptance_table(program) > 0.5).astype(np.uint8)
-    if isinstance(program, diagrams.Pobdd):
-        return (diagrams.acceptance_table(program) > 0.5).astype(np.uint8)
-    if isinstance(program, (diagrams.LeveledObdd, diagrams.Nobdd)):
-        return diagrams.function_of(program).table
-    raise ShapeError("totalize expects a leveled or quantum program")
-
-
 def totalize(fp, program):
     """Total function equal to fp where defined and to the program's rounded
     output elsewhere (probability > 1/2 rounds to 1, ties round to 0).
@@ -200,7 +193,7 @@ def totalize(fp, program):
         raise ShapeError("totalize expects a partial function")
     if program.n != fp.n:
         raise ShapeError("program arity does not match the partial function")
-    rounded = _program_output_table(program)
+    rounded = diagrams.rounded_table(program)
     defined = fp.defined.astype(bool)
     if not np.array_equal(rounded[defined], fp.values[defined]):
         bad = int(np.nonzero(rounded[defined] != fp.values[defined])[0][0])
@@ -209,13 +202,6 @@ def totalize(fp, program):
             "(first mismatch at defined point #%d)" % bad
         )
     return BoolFn(fp.n, np.where(defined, fp.values, rounded))
-
-
-def _require_commutative(program, trials, seed):
-    if not diagrams.is_commutative(program, trials=trials, seed=seed):
-        raise CommutativityError(
-            "base program failed the commutativity check; reordering is undefined for it"
-        )
 
 
 def _lift_address_maps(layout, mode):
@@ -235,234 +221,64 @@ def _lift_address_maps(layout, mode):
     return maps
 
 
-def _lifted_widths(layout, k, w_base):
-    return [layout.q * w_base] * (k * layout.n + 1)
-
-
-def _classical_lift(program, layout, mode, trials, seed):
-    """Shared construction data for the three classical lifts."""
+def lift(program, layout, mode, commut_trials=200, commut_seed=0):
+    """The reordering lift of a commutative base program of any kind over
+    `layout` (the quantum kind in xor mode only). Refuses a base that fails
+    the commutativity check, which samples `commut_trials` orders."""
     _check_mode(mode)
     if program.n != layout.q:
         raise ShapeError(
             "base program arity %d does not match layout q=%d" % (program.n, layout.q)
         )
-    _require_commutative(program, trials, seed)
-    w_base, tables, ends, _sinks = diagrams._padded_tables(program)
-    addr_maps = _lift_address_maps(layout, mode)
-    return w_base, tables, ends, addr_maps
+    if isinstance(program, qsim.QuantumProgram) and (program.k != 1 or mode != "xor"):
+        raise ShapeError("the quantum lift is defined for single-layer base programs in xor mode")
+    if not diagrams.is_commutative(program, trials=commut_trials, seed=commut_seed):
+        raise CommutativityError(
+            "base program failed the commutativity check; reordering is undefined for it"
+        )
+    base = diagrams._padded(program)
+    q, w = layout.q, diagrams.width(base)
+    slot, node = np.divmod(np.arange(q * w), w)
+    address = [tuple(base._map_op(m[slot] * w + node, q * w) for m in pair)
+               for pair in _lift_address_maps(layout, mode)]
+    targets = np.zeros(q, dtype=np.int64) if mode == "direct" else np.arange(q)
+    steps = []
+    for j in range(base.k):
+        pairs = [base._pair(j * base.n + base.order.position_of(c + 1) - 1) for c in range(q)]
+        value = tuple(base._block_op([pair[b] for pair in pairs], targets) for b in (0, 1))
+        steps += (address + [value]) * q
+    layer_ends = [None if end is None and mode == "direct"
+                  else (np.arange(w) if end is None else end)[node] for end in base.layer_ends]
+    return base._lifted(layout.n, steps, layer_ends, node)
+
+
+def _require_kind(program, kind, message):
+    if not isinstance(program, kind):
+        raise ShapeError(message)
 
 
 def reorder_obdd(program, layout, mode, commut_trials=200, commut_seed=0):
     """Deterministic lift: states are (address slot, base state) pairs; width
     is exactly q * width(base) on every level."""
-    if not isinstance(program, diagrams.LeveledObdd):
-        raise ShapeError("reorder_obdd expects a deterministic base program")
-    w, tables, ends, addr_maps = _classical_lift(program, layout, mode, commut_trials, commut_seed)
-    q, p, k = layout.q, layout.p, program.k
-    qw = q * w
-    ids = np.arange(qw, dtype=np.int64)
-    slot, s = ids // w, ids % w
-    steps = []
-    for j in range(k):
-        for i in range(1, q + 1):
-            for t in range(1, p + 1):
-                m0, m1 = addr_maps[t - 1]
-                t0 = m0[slot] * w + s
-                t1 = m1[slot] * w + s
-                steps.append(list(zip(t0.tolist(), t1.tolist())))
-            rows = []
-            for c in range(q):
-                f0, f1 = tables[j][c + 1]
-                new_slot = 0 if mode == "direct" else c
-                for b_state in range(w):
-                    rows.append(
-                        (
-                            int(new_slot * w + f0[b_state]),
-                            int(new_slot * w + f1[b_state]),
-                        )
-                    )
-            steps.append(rows)
-    layer_ends = []
-    for j in range(k):
-        base_end = ends[j]
-        if base_end is None and mode == "direct":
-            layer_ends.append(None)
-            continue
-        end_map = base_end if base_end is not None else np.arange(w, dtype=np.int64)
-        layer_ends.append((0 * slot) * w + end_map[s])
-    sinks = np.zeros(qw, dtype=np.uint8)
-    base_sinks = np.zeros(w, dtype=np.uint8)
-    base_sinks[: program.sink_values.shape[0]] = program.sink_values
-    sinks = base_sinks[s]
-    return diagrams.LeveledObdd(
-        n=layout.n,
-        k=k,
-        order=VarOrder.identity(layout.n),
-        widths=_lifted_widths(layout, k, w),
-        start=program.start,
-        steps=steps,
-        sink_values=sinks,
-        layer_ends=layer_ends,
-    )
+    _require_kind(program, diagrams.LeveledObdd, "reorder_obdd expects a deterministic base program")
+    return lift(program, layout, mode, commut_trials, commut_seed)
 
 
 def reorder_nobdd(program, layout, mode, commut_trials=200, commut_seed=0):
     """Nondeterministic lift: successor sets carried blockwise."""
-    if not isinstance(program, diagrams.Nobdd):
-        raise ShapeError("reorder_nobdd expects a nondeterministic base program")
-    w, tables, ends, addr_maps = _classical_lift(program, layout, mode, commut_trials, commut_seed)
-    q, p, k = layout.q, layout.p, program.k
-    qw = q * w
-    steps = []
-    for j in range(k):
-        for i in range(1, q + 1):
-            for t in range(1, p + 1):
-                m0, m1 = addr_maps[t - 1]
-                rows = []
-                for c in range(q):
-                    for b_state in range(w):
-                        rows.append(
-                            (
-                                (int(m0[c]) * w + b_state,),
-                                (int(m1[c]) * w + b_state,),
-                            )
-                        )
-                steps.append(rows)
-            rows = []
-            for c in range(q):
-                a0, a1 = tables[j][c + 1]
-                new_slot = 0 if mode == "direct" else c
-                for b_state in range(w):
-                    succ0 = tuple(new_slot * w + int(t2) for t2 in np.nonzero(a0[b_state])[0])
-                    succ1 = tuple(new_slot * w + int(t2) for t2 in np.nonzero(a1[b_state])[0])
-                    rows.append((succ0, succ1))
-            steps.append(rows)
-    layer_ends = []
-    ids = np.arange(qw, dtype=np.int64)
-    s = ids % w
-    for j in range(k):
-        base_end = ends[j]
-        if base_end is None and mode == "direct":
-            layer_ends.append(None)
-            continue
-        end_map = base_end if base_end is not None else np.arange(w, dtype=np.int64)
-        layer_ends.append(end_map[s])
-    accepting = [c * w + a for c in range(q) for a in sorted(program.accepting)]
-    return diagrams.Nobdd(
-        n=layout.n,
-        k=k,
-        order=VarOrder.identity(layout.n),
-        widths=_lifted_widths(layout, k, w),
-        start=program.start,
-        steps=steps,
-        accepting=accepting,
-        layer_ends=layer_ends,
-    )
+    _require_kind(program, diagrams.Nobdd, "reorder_nobdd expects a nondeterministic base program")
+    return lift(program, layout, mode, commut_trials, commut_seed)
 
 
 def reorder_pobdd(program, layout, mode, commut_trials=200, commut_seed=0):
     """Probabilistic lift: stochastic rows carried blockwise."""
-    if not isinstance(program, diagrams.Pobdd):
-        raise ShapeError("reorder_pobdd expects a probabilistic base program")
-    w, tables, ends, addr_maps = _classical_lift(program, layout, mode, commut_trials, commut_seed)
-    q, p, k = layout.q, layout.p, program.k
-    qw = q * w
-    steps = []
-    for j in range(k):
-        for i in range(1, q + 1):
-            for t in range(1, p + 1):
-                m0, m1 = addr_maps[t - 1]
-                rows = []
-                for c in range(q):
-                    for b_state in range(w):
-                        r0 = np.zeros(qw)
-                        r1 = np.zeros(qw)
-                        r0[int(m0[c]) * w + b_state] = 1.0
-                        r1[int(m1[c]) * w + b_state] = 1.0
-                        rows.append((r0, r1))
-                steps.append(rows)
-            rows = []
-            for c in range(q):
-                p0, p1 = tables[j][c + 1]
-                new_slot = 0 if mode == "direct" else c
-                for b_state in range(w):
-                    r0 = np.zeros(qw)
-                    r1 = np.zeros(qw)
-                    r0[new_slot * w: new_slot * w + w] = p0[b_state]
-                    r1[new_slot * w: new_slot * w + w] = p1[b_state]
-                    rows.append((r0, r1))
-            steps.append(rows)
-    layer_ends = []
-    ids = np.arange(qw, dtype=np.int64)
-    s = ids % w
-    for j in range(k):
-        base_end = ends[j]
-        if base_end is None and mode == "direct":
-            layer_ends.append(None)
-            continue
-        end_map = base_end if base_end is not None else np.arange(w, dtype=np.int64)
-        layer_ends.append(end_map[s])
-    accepting = [c * w + a for c in range(q) for a in sorted(program.accepting)]
-    return diagrams.Pobdd(
-        n=layout.n,
-        k=k,
-        order=VarOrder.identity(layout.n),
-        widths=_lifted_widths(layout, k, w),
-        start=program.start,
-        steps=steps,
-        accepting=accepting,
-        epsilon=program.epsilon,
-        layer_ends=layer_ends,
-    )
+    _require_kind(program, diagrams.Pobdd, "reorder_pobdd expects a probabilistic base program")
+    return lift(program, layout, mode, commut_trials, commut_seed)
 
 
 def xor_reorder_qobdd(program, layout, commut_trials=50, commut_seed=0):
     """Quantum lift (xor addressing): dimension exactly q * dim(base); address
     bits act as block-index bit flips, the value bit acts block-diagonally with
     the base pair of the addressed variable."""
-    if not isinstance(program, qsim.QuantumProgram):
-        raise ShapeError("xor_reorder_qobdd expects a quantum base program")
-    if program.n != layout.q:
-        raise ShapeError(
-            "base program arity %d does not match layout q=%d" % (program.n, layout.q)
-        )
-    if program.k != 1:
-        raise ShapeError("the quantum lift is defined for single-layer base programs")
-    if not qsim.is_commutative_quantum(program, trials=commut_trials, seed=commut_seed):
-        raise CommutativityError(
-            "base program failed the quantum commutativity check; the lift is undefined for it"
-        )
-    q, p, g = layout.q, layout.p, program.dim
-    dim = q * g
-    eye = np.eye(dim, dtype=np.complex128)
-
-    def flip_matrix(bit_pos):
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for c in range(q):
-            c2 = c ^ (1 << bit_pos)
-            m[c2 * g: c2 * g + g, c * g: c * g + g] = np.eye(g)
-        return m
-
-    def value_matrix(bit):
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for c in range(q):
-            m[c * g: c * g + g, c * g: c * g + g] = program.pair_for_variable(c + 1)[bit]
-        return m
-
-    steps = []
-    for _ in range(1, q + 1):
-        for t in range(1, p + 1):
-            steps.append((eye, flip_matrix(p - t)))
-        steps.append((value_matrix(0), value_matrix(1)))
-    initial = np.zeros(dim, dtype=np.complex128)
-    initial[:g] = program.initial
-    accept = [c * g + a for c in range(q) for a in sorted(program.accept)]
-    return qsim.QuantumProgram(
-        n=layout.n,
-        dim=dim,
-        order=VarOrder.identity(layout.n),
-        initial=initial,
-        steps=steps,
-        accept=accept,
-        k=1,
-    )
+    _require_kind(program, qsim.QuantumProgram, "xor_reorder_qobdd expects a quantum base program")
+    return lift(program, layout, "xor", commut_trials, commut_seed)

@@ -8,6 +8,8 @@ from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, build_b
                             eval_pobdd, function_of, is_commutative, sample_orders, size,
                             to_text, width)
 from ddlab.errors import CapacityError, DependencyError, ShapeError, StructuralError
+from ddlab.experiments import parse_program_spec
+from ddlab.quantum import QuantumProgram
 from ddlab.zoo import eq, eq_geometric_pobdd, eq_weighted_obdd, or_guess_nobdd, ws_b
 
 
@@ -24,6 +26,17 @@ def test_eval_obdd_walk():
     assert [eval_obdd(prog, ((i >> 1) & 1, i & 1)) for i in range(4)] == [0, 1, 1, 0]
     assert width(prog) == 2
     assert size(prog) == 5
+
+
+def test_quantum_programs_report_level_widths():
+    # every one of the k*n + 1 levels of a quantum program holds dim states
+    prog = parse_program_spec("eq-qobdd:2")
+    assert prog.widths == (prog.dim,) * (prog.n + 1)
+    assert width(prog) == prog.dim
+    assert size(prog) == (prog.n + 1) * prog.dim
+    two_layer = QuantumProgram(n=prog.n, dim=prog.dim, order=prog.order, initial=prog.initial,
+                               steps=list(prog.steps), accept=prog.accept, k=2)
+    assert size(two_layer) == (2 * prog.n + 1) * prog.dim
 
 
 def test_obdd_validation():

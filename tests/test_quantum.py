@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
+from ddlab.diagrams import Pobdd, eval_obdd, eval_pobdd
 from ddlab.errors import CapacityError, StructuralError
 from ddlab.fixtures import eq_multipliers, modp_multipliers
 from ddlab.quantum import (QuantumProgram, accept_probability, acceptance_table, check_unitary,
                            computes_with_bounded_error, from_json, is_commutative_quantum,
                            programs_equal, reorder_quantum, to_json)
-from ddlab.zoo import eq, fingerprint_eq_qobdd, fingerprint_modp_qobdd, mod_p
+from ddlab.zoo import (eq, eq_geometric_pobdd, eq_weighted_obdd, fingerprint_eq_qobdd,
+                       fingerprint_modp_qobdd, mod_p)
 
 
 def _rot(theta):
@@ -111,6 +113,27 @@ def test_bounded_error_sampled_mode_is_deterministic():
     v2 = computes_with_bounded_error(prog, eq(4), 1.0 / 6.0, samples=64, seed=7)
     assert (v1.min_one, v1.max_zero) == (v2.min_one, v2.max_zero)
     assert v1.passed
+
+
+@pytest.mark.parametrize("build", [eq_geometric_pobdd, eq_weighted_obdd])
+def test_sampled_bounded_error_on_classical_programs_beyond_the_table_cap(build):
+    # n = 18 is above the 2**16 table cap: only the sampled inputs may be propagated
+    n, samples, seed = 18, 64, 11
+    prog = build(n)
+    idx = np.arange(1 << n)
+    target = BoolFn(n, ((idx >> (n // 2)) == (idx & ((1 << (n // 2)) - 1))).astype(np.uint8))
+    verdict = computes_with_bounded_error(prog, target, 0.1, samples=samples, seed=seed)
+    drawn = np.random.default_rng(seed).integers(0, 1 << n, size=samples, dtype=np.int64)
+    evaluate = eval_pobdd if isinstance(prog, Pobdd) else eval_obdd
+    probs = np.array([evaluate(prog, [(int(i) >> (n - v)) & 1 for v in range(1, n + 1)])
+                      for i in drawn], dtype=np.float64)
+    ones, zeros = probs[target.table[drawn] == 1], probs[target.table[drawn] == 0]
+    assert (verdict.ones_checked, verdict.zeros_checked) == (ones.size, zeros.size)
+    assert verdict.ones_checked + verdict.zeros_checked == samples
+    assert verdict.max_zero == pytest.approx(zeros.max(), abs=1e-12)
+    if ones.size:
+        assert verdict.min_one == pytest.approx(ones.min(), abs=1e-12)
+    assert verdict.passed
 
 
 def test_reorder_quantum_applies_pairs_by_new_order():
