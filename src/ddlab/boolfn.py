@@ -18,11 +18,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
-
-TABLE_CAP = 24   # largest n for which explicit tables are allowed
-DP_CAP = 16      # largest n for the exact-width subset search
-ENUM_CAP = 8     # largest n for the n! enumeration cross-check
+from . import limits
+from .errors import ShapeError
 
 
 def _as_bit_array(bits, n):
@@ -39,8 +36,7 @@ def _as_bit_array(bits, n):
 def _check_n(n):
     if not isinstance(n, int) or n < 1:
         raise ShapeError("variable count must be a positive integer")
-    if n > TABLE_CAP:
-        raise CapacityError("variable count %d exceeds the table cap %d" % (n, TABLE_CAP))
+    limits.check(n, limits.STORAGE_CAP, "n of a stored table")
 
 
 class VarOrder:
@@ -216,6 +212,7 @@ def _bits_to_hex(arr):
 
 
 def _hex_to_bits(text, n):
+    _check_n(n)
     n_bits = 1 << n
     value = int(text, 16)
     if value < 0 or value >> n_bits:
@@ -398,15 +395,14 @@ def n_pi(f, order):
 
 def require_enumerable(f):
     """Raise CapacityError unless the n! enumeration strategy accepts f."""
-    if f.n > ENUM_CAP:
-        raise CapacityError("enumeration strategy capped at n <= %d" % ENUM_CAP)
+    limits.check(f.n, limits.ENUM_CAP, "n of the order enumeration")
 
 
 def n_min(f, strategy="auto"):
     """Exact minimum over all variable orders of n_pi(f, order).
 
     Strategies: "auto" runs the lazy best-first bottleneck search below (total
-    and partial functions alike); "enum" forces the n! enumeration (n <= 8),
+    and partial functions alike); "enum" forces the n! enumeration (n <= limits.ENUM_CAP),
     used as a cross-check.
 
     The search is the Friedman & Supowit subset DP (IEEE Trans. Computers
@@ -445,8 +441,7 @@ def n_min(f, strategy="auto"):
             if best is None or worst < best:
                 best = worst
         return best
-    if n > DP_CAP:
-        raise CapacityError("min-width DP capped at n <= %d" % DP_CAP)
+    limits.check(n, limits.DP_CAP, "n of the min-width search")
     if isinstance(f, BoolFn):
         return _bottleneck_search((f.table,), n, lambda rows, floor: rows.shape[0])
     return _n_min_partial(f)

@@ -149,13 +149,23 @@ def _cmd_report(args):
     return 0
 
 
+def _count(minimum):
+    """An argparse type: an integer of at least `minimum`."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %d" % (minimum, value))
+        return value
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="ddlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True, fmt=True):
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="PRNG seed for sampled checks")
+            p.add_argument("--seed", type=_count(0), default=0, help="PRNG seed for sampled checks")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
             p.add_argument("--with-duration", action="store_true",
@@ -185,7 +195,7 @@ def build_parser():
     p.add_argument("spec", help="base program mini-spec, e.g. eq-obdd:4")
     p.add_argument("--layout", type=int, required=True, help="block count q (power of two)")
     p.add_argument("--mode", choices=("direct", "xor"), default="xor")
-    p.add_argument("--samples", type=int, help="additional seeded samples of allowed inputs")
+    p.add_argument("--samples", type=_count(1), help="additional seeded samples of allowed inputs")
     p.add_argument("--text", action="store_true", help="print the lifted program instead of a report")
     common(p)
     p.set_defaults(func=_cmd_reorder)

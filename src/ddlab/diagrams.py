@@ -40,13 +40,10 @@ import random
 
 import numpy as np
 
+from . import limits
 from .boolfn import BoolFn, VarOrder
-from .errors import CapacityError, DependencyError, ShapeError, StructuralError
+from .errors import DependencyError, ShapeError, StructuralError
 
-FULL_TABLE_CAP = 16    # largest n whose whole truth table is propagated
-COMMUTATIVITY_INPUT_CAP = 12
-EXHAUSTIVE_PERM_CAP = 5
-PROB_TOL = 1e-9
 _CHUNK_ROWS = 4096     # inputs propagated together
 
 
@@ -101,6 +98,17 @@ def _norm_sinks(sink_values, width):
     return arr
 
 
+def _as_level(level, shape, dtype, message):
+    """One level's rows as one array of `shape`, not copied; ShapeError if they do not form one."""
+    try:
+        arr = np.asarray(level, dtype=dtype)
+        if arr.shape == shape:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise ShapeError(message)
+
+
 def _pad_map(m, width):
     """Index map extended to `width` nodes; the added nodes map to node 0."""
     out = np.zeros(width, dtype=np.int64)
@@ -122,6 +130,7 @@ class LeveledProgram:
     vectors multiplied on the right."""
 
     __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends")
+    _MATRIX = True   # operators are matrices, not index maps
 
     def _init_levels(self, n, k, order, widths, start, steps, layer_ends):
         if k < 1:
@@ -135,6 +144,7 @@ class LeveledProgram:
             raise StructuralError("start node is not on the first level")
         if len(steps) != self.k * self.n:
             raise ShapeError("expected %d transition levels, got %d" % (self.k * self.n, len(steps)))
+        limits.check_program(self.k * self.n, max(self.widths), self._MATRIX)
         packed = []
         for ell, level in enumerate(steps):
             if not isinstance(steps, _Packed):
@@ -228,15 +238,15 @@ class LeveledObdd(LeveledProgram):
 
     __slots__ = ("start", "sink_values")
     _FIELDS = ("n", "k", "order", "widths", "start", "steps", "sink_values", "layer_ends")
+    _MATRIX = False
 
     def __init__(self, n, k, order, widths, start, steps, sink_values, layer_ends=None):
         self._init_levels(n, k, order, widths, start, steps, layer_ends)
         self.sink_values = _norm_sinks(sink_values, self.widths[-1])
 
     def _pack_level(self, ell, level, w, w_next):
-        rows = np.asarray([tuple(row) for row in level], dtype=np.int64)
-        if rows.shape != (w, 2):
-            raise ShapeError("level %d rows must be (bit-0, bit-1) target pairs" % ell)
+        rows = _as_level(level, (w, 2), np.int64,
+                         "level %d rows must be (bit-0, bit-1) target pairs" % ell)
         if int(rows.min()) < 0 or int(rows.max()) >= w_next:
             raise StructuralError("level %d transition targets a missing node" % ell)
         return rows[:, 0].copy(), rows[:, 1].copy()
@@ -311,20 +321,14 @@ class Pobdd(LeveledProgram):
         self.epsilon = float(epsilon)
 
     def _pack_level(self, ell, level, w, w_next):
-        mats = np.zeros((2, w, w_next), dtype=np.float64)
-        for bit in (0, 1):
-            for node, row in enumerate(level):
-                vec = np.asarray(row[bit], dtype=np.float64)
-                if vec.shape != (w_next,):
-                    raise ShapeError(
-                        "level %d node %d bit %d row must have length %d" % (ell, node, bit, w_next)
-                    )
-                mats[bit, node] = vec
-        if np.any(mats < -PROB_TOL):
+        mats = _as_level(level, (w, 2, w_next), np.float64,
+                         "level %d rows must be (bit-0, bit-1) pairs of length-%d vectors"
+                         % (ell, w_next))
+        if np.any(mats < -limits.TOL):
             raise StructuralError("level %d has a negative probability" % ell)
-        if np.any(np.abs(mats.sum(axis=2) - 1.0) > PROB_TOL):
+        if np.any(np.abs(mats.sum(axis=2) - 1.0) > limits.TOL):
             raise StructuralError("level %d has a non-stochastic row" % ell)
-        return mats[0], mats[1]
+        return mats[:, 0].copy(), mats[:, 1].copy()
 
     def _readout(self, states):
         return states[..., sorted(self.accepting)].sum(axis=-1)
@@ -386,10 +390,8 @@ def index_bits(idx, n):
 
 @functools.lru_cache(maxsize=8)
 def _all_inputs(n):
-    """Every input as a row of bits, in truth-table order (n <= 16; read-only)."""
-    if n > FULL_TABLE_CAP:
-        raise CapacityError("exhaustive truth table capped at n <= %d" % FULL_TABLE_CAP)
-    bits = index_bits(np.arange(1 << n), n)
+    """Every input as a row of bits, in truth-table order (read-only)."""
+    bits = index_bits(limits.table_indexes(n), n)
     bits.setflags(write=False)
     return bits
 
@@ -448,13 +450,13 @@ def propagate(program, bits, perm=None):
 
 
 def rounded_table(program):
-    """0/1 output of any program kind on every input (n <= 16); an acceptance
+    """0/1 output of any program kind on every input; an acceptance
     probability above 1/2 rounds to 1, a tie to 0."""
     return (propagate(program, _all_inputs(program.n)) > 0.5).astype(np.uint8)
 
 
 def function_of(program):
-    """Truth table computed by a deterministic or nondeterministic program (n <= 16)."""
+    """Truth table computed by a deterministic or nondeterministic program."""
     bits = _all_inputs(program.n)
     if not isinstance(program, (LeveledObdd, Nobdd)):
         raise ShapeError("function_of expects a deterministic or nondeterministic program")
@@ -462,7 +464,7 @@ def function_of(program):
 
 
 def acceptance_table(program):
-    """Acceptance probability of a Pobdd on every input (n <= 16)."""
+    """Acceptance probability of a Pobdd on every input."""
     if not isinstance(program, Pobdd):
         raise ShapeError("acceptance_table expects a probabilistic program")
     return propagate(program, _all_inputs(program.n))
@@ -531,8 +533,8 @@ def _permuted_profile(program, perm, padded):
 
 
 def sample_orders(n, trials, seed):
-    """Deterministically sampled variable orders (all of them when n <= 5)."""
-    if n <= EXHAUSTIVE_PERM_CAP:
+    """Deterministically sampled variable orders (all n! when n <= limits.EXHAUSTIVE_PERM_CAP)."""
+    if n <= limits.EXHAUSTIVE_PERM_CAP:
         return [perm for perm in itertools.permutations(range(1, n + 1))]
     rng = random.Random(seed)
     out = []
@@ -543,19 +545,16 @@ def sample_orders(n, trials, seed):
     return out
 
 
-def is_commutative(program, trials=1000, seed=0, tol=PROB_TOL):
+def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limits.TOL):
     """True iff reading the variables in any order, each with its own
     operators, leaves the output on every input unchanged (within `tol` for
     acceptance probabilities). Works for every program kind.
 
-    All n! orders are tried when n <= 5, otherwise `trials` seeded random
-    orders. Functional equality is checked on all 2**n inputs (n <= 12).
+    `sample_orders` gives the orders tried. Functional equality is checked on
+    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP).
     """
     n = program.n
-    if n > COMMUTATIVITY_INPUT_CAP:
-        raise CapacityError(
-            "commutativity check capped at n <= %d" % COMMUTATIVITY_INPUT_CAP
-        )
+    limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     padded = _padded(program)
     baseline = _permuted_profile(program, program.order.perm, padded).astype(np.float64)
     for perm in sample_orders(n, trials, seed):

@@ -14,7 +14,7 @@ class ShapeError(DdlabError):
 
 
 class CapacityError(DdlabError):
-    """A size cap was exceeded (truth-table, DP, enumeration, or dimension cap)."""
+    """A size cap of `limits` was exceeded."""
 
 
 class StructuralError(DdlabError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fixtures, zoo
+from . import fixtures, limits, zoo
 from .boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, n_min, require_enumerable,
                      subfunction_count)
 from .diagrams import (LeveledObdd, Nobdd, Pobdd, build_binary_tree_obdd, is_commutative,
@@ -217,7 +217,7 @@ class ExperimentSpec:
     kind: str
     params: dict
     check_id: str | None = None
-    tolerance: float = 1e-9
+    tolerance: float = limits.TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -492,6 +492,8 @@ def _run_reorder_roundtrip(spec):
     base = parse_program_spec(p["base"])
     layout = BlockLayout(p["layout"])
     mode = p.get("mode", "xor")
+    samples = p.get("samples")
+    limits.check(int(samples or 0), limits.SAMPLE_CAP, "the sample count")
     if p.get("expect") == "reject":
         try:
             _lift_program(base, layout, mode)
@@ -511,7 +513,7 @@ def _run_reorder_roundtrip(spec):
     lift_table = rounded_table(lifted)
     if p.get("right"):
         ref = parse_function_spec(p["right"])
-        idx = np.arange(1 << lifted.n)
+        idx = limits.table_indexes(lifted.n)
         ref_vals = ref.table
         scope_desc = "all %d inputs" % idx.size
     else:
@@ -522,7 +524,6 @@ def _run_reorder_roundtrip(spec):
     mism = int(np.count_nonzero(lift_table[idx] != ref_vals[idx]))
     measured = {"width": w, "base_width": base_w, "inputs_checked": int(idx.size),
                 "mismatches": mism}
-    samples = p.get("samples")
     if samples:
         rng = np.random.default_rng(spec.seed)
         s_idx = np.asarray(idx)[rng.integers(0, len(idx), size=int(samples))]

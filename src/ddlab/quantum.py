@@ -15,8 +15,8 @@ Conventions:
   * accepting states are 1-indexed (state i refers to amplitude index i-1);
   * one transition pair per variable; for k-layer programs the same n pairs
     repeat each layer; every level has `dim` states;
-  * tolerances: unitarity and per-step norm conservation 1e-9, initial norm
-    1e-12, probability comparisons 1e-9.
+  * the tolerances of the unitarity, norm and probability checks are
+    `limits.TOL` and `limits.EXACT_TOL`.
 """
 from __future__ import annotations
 
@@ -25,16 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .boolfn import BoolFn, PartialBoolFn, VarOrder
-from .diagrams import (FULL_TABLE_CAP, PROB_TOL, LeveledProgram, _evaluate, _norm_order,
-                       index_bits, is_commutative, propagate)
-from .errors import CapacityError, ShapeError, StructuralError
-
-DIM_CAP = 4096
-UNITARY_TOL = 1e-9
-NORM_TOL = 1e-9
-INITIAL_NORM_TOL = 1e-12
-COMMUTATIVITY_INPUT_CAP = 10
+from .diagrams import LeveledProgram, _evaluate, _norm_order, index_bits, is_commutative, propagate
+from .errors import ShapeError, StructuralError
 
 
 def _as_unitary(mat, dim, where):
@@ -42,9 +36,9 @@ def _as_unitary(mat, dim, where):
     if g.shape != (dim, dim):
         raise ShapeError("%s must be a %dx%d matrix" % (where, dim, dim))
     dev = float(np.max(np.abs(g.conj().T @ g - np.eye(dim))))
-    if dev > UNITARY_TOL:
+    if dev > limits.TOL:
         raise StructuralError(
-            "%s deviates from unitarity by %.3g (tolerance %.1g)" % (where, dev, UNITARY_TOL)
+            "%s deviates from unitarity by %.3g (tolerance %.1g)" % (where, dev, limits.TOL)
         )
     g = g.copy()
     g.setflags(write=False)
@@ -65,8 +59,7 @@ class QuantumProgram(LeveledProgram):
         self.dim = int(dim)
         if self.dim < 1:
             raise ShapeError("dimension must be positive")
-        if self.dim > DIM_CAP:
-            raise CapacityError("dimension %d exceeds the cap %d" % (self.dim, DIM_CAP))
+        limits.check_program(self.n, self.dim, matrix=True)
         self.k = int(k)
         if self.k < 1:
             raise ShapeError("layer count must be >= 1")
@@ -77,9 +70,9 @@ class QuantumProgram(LeveledProgram):
         if vec.shape != (self.dim,):
             raise ShapeError("initial state must have length dim")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > INITIAL_NORM_TOL:
+        if abs(norm - 1.0) > limits.EXACT_TOL:
             raise StructuralError(
-                "initial state norm %.15g is not 1 within %.1g" % (norm, INITIAL_NORM_TOL)
+                "initial state norm %.15g is not 1 within %.1g" % (norm, limits.EXACT_TOL)
             )
         vec = vec.copy()
         vec.setflags(write=False)
@@ -112,7 +105,7 @@ class QuantumProgram(LeveledProgram):
     def _act_one(self, state, g):
         state = g @ state
         norm = float(np.linalg.norm(state))
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > limits.TOL:
             raise StructuralError("state norm drifted to %.15g during the run" % norm)
         return state
 
@@ -167,10 +160,8 @@ def _acceptance_for_inputs(program, idx):
 
 
 def acceptance_table(program):
-    """Acceptance probability on every input, index = bin(x_1..x_n) (n <= 16)."""
-    if program.n > FULL_TABLE_CAP:
-        raise CapacityError("exhaustive acceptance table capped at n <= %d" % FULL_TABLE_CAP)
-    return _acceptance_for_inputs(program, np.arange(1 << program.n, dtype=np.int64))
+    """Acceptance probability on every input, index = bin(x_1..x_n)."""
+    return _acceptance_for_inputs(program, limits.table_indexes(program.n))
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ class UnitarityReport:
     matrices_checked: int
 
 
-def check_unitary(program_or_matrices, tol=UNITARY_TOL):
+def check_unitary(program_or_matrices, tol=limits.TOL):
     """Max over matrices of max|G†G - I|; pass iff within tolerance.
 
     Accepts a QuantumProgram or an iterable of raw square matrices (the latter
@@ -212,44 +203,33 @@ class BoundedErrorVerdict:
 
 def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     """Verdict with worst-case margins: acceptance >= 1/2+eps on every defined
-    1-input and <= 1/2-eps on every defined 0-input (within 1e-9).
+    1-input and <= 1/2-eps on every defined 0-input (within limits.TOL).
 
-    Exhaustive over all 2**n inputs when n <= 16 and `samples` is None;
-    otherwise checks `samples` seeded random inputs, and only those are
-    propagated. Works for every program kind. Undefined points of a partial
-    target are skipped.
+    Exhaustive over all 2**n inputs when `samples` is None (n <=
+    limits.TABLE_CAP); otherwise checks `samples` seeded random inputs, and
+    only those are propagated. Works for every program kind. Undefined points
+    of a partial target are skipped.
     """
     n = program.n
-    if isinstance(f, PartialBoolFn):
-        if f.n != n:
-            raise ShapeError("target arity does not match program arity")
-        defined = f.defined.astype(bool)
-        values = f.values
-    elif isinstance(f, BoolFn):
-        if f.n != n:
-            raise ShapeError("target arity does not match program arity")
-        defined = np.ones(1 << n, dtype=bool)
-        values = f.table
-    else:
+    if not isinstance(f, (BoolFn, PartialBoolFn)):
         raise ShapeError("bounded-error target must be a truth-table function")
+    if f.n != n:
+        raise ShapeError("target arity does not match program arity")
     if samples is None:
-        if n > FULL_TABLE_CAP:
-            raise CapacityError(
-                "exhaustive bounded-error check capped at n <= %d; pass samples=" % FULL_TABLE_CAP
-            )
-        idx = np.arange(1 << n, dtype=np.int64)
+        idx = limits.table_indexes(n)
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, 1 << n, size=int(samples), dtype=np.int64)
-    idx = idx[defined[idx]]
+        limits.check(int(samples), limits.SAMPLE_CAP, "the sample count")
+        idx = np.random.default_rng(seed).integers(0, 1 << n, size=int(samples), dtype=np.int64)
+    if isinstance(f, PartialBoolFn):
+        idx = idx[f.defined[idx] == 1]
     probs = _acceptance_for_inputs(program, idx)
-    vals = values[idx]
+    vals = (f.values if isinstance(f, PartialBoolFn) else f.table)[idx]
     ones = probs[vals == 1]
     zeros = probs[vals == 0]
     min_one = float(ones.min()) if ones.size else None
     max_zero = float(zeros.max()) if zeros.size else None
-    ok_one = min_one is None or min_one >= 0.5 + epsilon - PROB_TOL
-    ok_zero = max_zero is None or max_zero <= 0.5 - epsilon + PROB_TOL
+    ok_one = min_one is None or min_one >= 0.5 + epsilon - limits.TOL
+    ok_zero = max_zero is None or max_zero <= 0.5 - epsilon + limits.TOL
     return BoundedErrorVerdict(
         passed=bool(ok_one and ok_zero),
         min_one=min_one,
@@ -280,14 +260,11 @@ def reorder_quantum(program, order2):
     )
 
 
-def is_commutative_quantum(program, trials=50, seed=0, tol=PROB_TOL):
-    """`diagrams.is_commutative` under the quantum cap n <= 10: True iff every
-    sampled reordering leaves the acceptance profile unchanged on all 2**n
-    inputs within tol (all n! orders when n <= 5)."""
-    if program.n > COMMUTATIVITY_INPUT_CAP:
-        raise CapacityError(
-            "quantum commutativity check capped at n <= %d" % COMMUTATIVITY_INPUT_CAP
-        )
+def is_commutative_quantum(program, trials=limits.QUANTUM_ORDERS, seed=0, tol=limits.TOL):
+    """`diagrams.is_commutative` under the quantum cap
+    limits.QUANTUM_COMMUTATIVITY_CAP: True iff every sampled reordering leaves
+    the acceptance profile unchanged on all 2**n inputs within tol."""
+    limits.check(program.n, limits.QUANTUM_COMMUTATIVITY_CAP, "n of the quantum commutativity check")
     return is_commutative(program, trials=trials, seed=seed, tol=tol)
 
 

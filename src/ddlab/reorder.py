@@ -30,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from .boolfn import BoolFn, PartialBoolFn
-from .errors import CapacityError, CommutativityError, ConsistencyError, ShapeError
-from . import diagrams
+from .errors import CommutativityError, ConsistencyError, ShapeError
+from . import diagrams, limits
 from . import quantum as qsim
 
-REORDER_TABLE_CAP = 16
 MODES = ("direct", "xor")
 
 
@@ -71,12 +70,12 @@ class BlockLayout:
         Returns (addr, vals): two arrays of shape (2**n, q).
         """
         _check_mode(mode)
-        idx = np.arange(1 << self.n, dtype=np.int64)
-        addr = np.empty((1 << self.n, self.q), dtype=np.int64)
-        vals = np.empty((1 << self.n, self.q), dtype=np.int64)
-        running = np.zeros(1 << self.n, dtype=np.int64)
+        idx = limits.table_indexes(self.n)
+        addr = np.empty((idx.size, self.q), dtype=np.int64)
+        vals = np.empty((idx.size, self.q), dtype=np.int64)
+        running = np.zeros(idx.size, dtype=np.int64)
         for i in range(1, self.q + 1):
-            a = np.zeros(1 << self.n, dtype=np.int64)
+            a = np.zeros(idx.size, dtype=np.int64)
             for pos in self.address_positions(i):
                 a = (a << 1) | ((idx >> (self.n - pos)) & 1)
             if mode == "xor":
@@ -138,17 +137,8 @@ class BlockLayout:
         return tuple(bits)
 
 
-def _check_reorder_cap(layout):
-    if layout.n > REORDER_TABLE_CAP:
-        raise CapacityError(
-            "function-level reordering capped at n <= %d (got n=%d)"
-            % (REORDER_TABLE_CAP, layout.n)
-        )
-
-
 def allowed_input_indexes(layout, mode):
-    """Truth-table indexes of all allowed inputs (n <= 16)."""
-    _check_reorder_cap(layout)
+    """Truth-table indexes of all allowed inputs."""
     addr, _ = layout.addresses_and_values(mode)
     masks = np.zeros(addr.shape[0], dtype=np.int64)
     for i in range(layout.q):
@@ -166,7 +156,6 @@ def reorder_function(f, layout, mode):
         raise ShapeError(
             "base function arity %d does not match layout q=%d" % (f.n, layout.q)
         )
-    _check_reorder_cap(layout)
     addr, vals = layout.addresses_and_values(mode)
     size = addr.shape[0]
     masks = np.zeros(size, dtype=np.int64)
@@ -221,23 +210,27 @@ def _lift_address_maps(layout, mode):
     return maps
 
 
-def lift(program, layout, mode, commut_trials=200, commut_seed=0):
+def lift(program, layout, mode):
     """The reordering lift of a commutative base program of any kind over
     `layout` (the quantum kind in xor mode only). Refuses a base that fails
-    the commutativity check, which samples `commut_trials` orders."""
+    the commutativity check, which samples limits.LIFT_ORDERS orders
+    (limits.QUANTUM_ORDERS for a quantum base)."""
     _check_mode(mode)
     if program.n != layout.q:
         raise ShapeError(
             "base program arity %d does not match layout q=%d" % (program.n, layout.q)
         )
-    if isinstance(program, qsim.QuantumProgram) and (program.k != 1 or mode != "xor"):
+    quantum = isinstance(program, qsim.QuantumProgram)
+    if quantum and (program.k != 1 or mode != "xor"):
         raise ShapeError("the quantum lift is defined for single-layer base programs in xor mode")
-    if not diagrams.is_commutative(program, trials=commut_trials, seed=commut_seed):
+    q, w = layout.q, diagrams.width(program)
+    limits.check_program(program.k * layout.n, q * w, program._MATRIX)
+    orders = limits.QUANTUM_ORDERS if quantum else limits.LIFT_ORDERS
+    if not diagrams.is_commutative(program, trials=orders):
         raise CommutativityError(
             "base program failed the commutativity check; reordering is undefined for it"
         )
     base = diagrams._padded(program)
-    q, w = layout.q, diagrams.width(base)
     slot, node = np.divmod(np.arange(q * w), w)
     address = [tuple(base._map_op(m[slot] * w + node, q * w) for m in pair)
                for pair in _lift_address_maps(layout, mode)]
@@ -257,28 +250,28 @@ def _require_kind(program, kind, message):
         raise ShapeError(message)
 
 
-def reorder_obdd(program, layout, mode, commut_trials=200, commut_seed=0):
+def reorder_obdd(program, layout, mode):
     """Deterministic lift: states are (address slot, base state) pairs; width
     is exactly q * width(base) on every level."""
     _require_kind(program, diagrams.LeveledObdd, "reorder_obdd expects a deterministic base program")
-    return lift(program, layout, mode, commut_trials, commut_seed)
+    return lift(program, layout, mode)
 
 
-def reorder_nobdd(program, layout, mode, commut_trials=200, commut_seed=0):
+def reorder_nobdd(program, layout, mode):
     """Nondeterministic lift: successor sets carried blockwise."""
     _require_kind(program, diagrams.Nobdd, "reorder_nobdd expects a nondeterministic base program")
-    return lift(program, layout, mode, commut_trials, commut_seed)
+    return lift(program, layout, mode)
 
 
-def reorder_pobdd(program, layout, mode, commut_trials=200, commut_seed=0):
+def reorder_pobdd(program, layout, mode):
     """Probabilistic lift: stochastic rows carried blockwise."""
     _require_kind(program, diagrams.Pobdd, "reorder_pobdd expects a probabilistic base program")
-    return lift(program, layout, mode, commut_trials, commut_seed)
+    return lift(program, layout, mode)
 
 
-def xor_reorder_qobdd(program, layout, commut_trials=50, commut_seed=0):
+def xor_reorder_qobdd(program, layout):
     """Quantum lift (xor addressing): dimension exactly q * dim(base); address
     bits act as block-index bit flips, the value bit acts block-diagonally with
     the base pair of the addressed variable."""
     _require_kind(program, qsim.QuantumProgram, "xor_reorder_qobdd expects a quantum base program")
-    return lift(program, layout, "xor", commut_trials, commut_seed)
+    return lift(program, layout, "xor")

@@ -16,18 +16,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from . import limits
 from .boolfn import BoolFn, VarOrder
-from .diagrams import LeveledObdd, Nobdd, Pobdd
-from .errors import CapacityError, ShapeError
+from .diagrams import LeveledObdd, Nobdd, Pobdd, index_bits
+from .errors import ShapeError
 from .quantum import QuantumProgram
 from .reorder import BlockLayout, reorder_obdd
-
-ZOO_TABLE_CAP = 16
-
-
-def _check_zoo_cap(n, what):
-    if n > ZOO_TABLE_CAP:
-        raise CapacityError("%s truth table capped at n <= %d (got n=%d)" % (what, ZOO_TABLE_CAP, n))
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +33,7 @@ def eq(n):
     n = int(n)
     if n < 2 or n % 2:
         raise ShapeError("eq needs an even input length >= 2")
-    _check_zoo_cap(n, "eq")
-    idx = np.arange(1 << n, dtype=np.int64)
+    idx = limits.table_indexes(n)
     half = n // 2
     top = idx >> half
     bottom = idx & ((1 << half) - 1)
@@ -61,7 +54,6 @@ def req(layout):
     if not isinstance(layout, BlockLayout):
         layout = BlockLayout(layout)
     q = layout.q
-    _check_zoo_cap(layout.n, "req")
     m = 1 << (q // 2)
     addr, vals = layout.addresses_and_values("xor")
     delta = np.zeros(addr.shape[0], dtype=np.int64)
@@ -82,9 +74,8 @@ def mod_p(p, n):
         raise ShapeError("modulus must be at least 2")
     if n < 1:
         raise ShapeError("input length must be positive")
-    _check_zoo_cap(n, "mod_p")
-    idx = np.arange(1 << n, dtype=np.int64)
-    pc = np.zeros(1 << n, dtype=np.int64)
+    idx = limits.table_indexes(n)
+    pc = np.zeros(idx.size, dtype=np.int64)
     for b in range(n):
         pc += (idx >> b) & 1
     return BoolFn(n, (pc % p == 0).astype(np.uint8))
@@ -98,11 +89,10 @@ def _smallest_prime_above(m):
         c += 1
 
 
-def _weighted_sum_table(n, b):
-    """s(X) = (sum_{i<=b} i*x_i) mod (smallest prime > b), for every input."""
+def _weighted_sum_table(idx, n, b):
+    """s(X) = (sum_{i<=b} i*x_i) mod (smallest prime > b), for the inputs `idx`."""
     p = _smallest_prime_above(b)
-    idx = np.arange(1 << n, dtype=np.int64)
-    s = np.zeros(1 << n, dtype=np.int64)
+    s = np.zeros(idx.size, dtype=np.int64)
     for i in range(1, b + 1):
         s += i * ((idx >> (n - i)) & 1)
     return s % p
@@ -121,9 +111,8 @@ def ws(n):
     n = int(n)
     if n < 1:
         raise ShapeError("input length must be positive")
-    _check_zoo_cap(n, "ws")
-    idx = np.arange(1 << n, dtype=np.int64)
-    s = _weighted_sum_table(n, n)
+    idx = limits.table_indexes(n)
+    s = _weighted_sum_table(idx, n, n)
     return BoolFn(n, _gather_bit(idx, n, s).astype(np.uint8))
 
 
@@ -132,9 +121,8 @@ def ws_b(n, b):
     n, b = int(n), int(b)
     if not 1 <= b <= n:
         raise ShapeError("ws_b needs 1 <= b <= n")
-    _check_zoo_cap(n, "ws_b")
-    idx = np.arange(1 << n, dtype=np.int64)
-    s = _weighted_sum_table(n, b)
+    idx = limits.table_indexes(n)
+    s = _weighted_sum_table(idx, n, b)
     return BoolFn(n, _gather_bit(idx, n, s).astype(np.uint8))
 
 
@@ -147,12 +135,11 @@ def msw_b(n, b):
         raise ShapeError("msw_b needs an even input length")
     if b % 2 or not 2 <= b <= n:
         raise ShapeError("msw_b needs an even b with 2 <= b <= n")
-    _check_zoo_cap(n, "msw_b")
     h = b // 2
     p = _smallest_prime_above(h)
-    idx = np.arange(1 << n, dtype=np.int64)
-    z = np.zeros(1 << n, dtype=np.int64)
-    r = np.zeros(1 << n, dtype=np.int64)
+    idx = limits.table_indexes(n)
+    z = np.zeros(idx.size, dtype=np.int64)
+    r = np.zeros(idx.size, dtype=np.int64)
     for i in range(1, h + 1):
         z += i * ((idx >> (n - i)) & 1)
         r += i * ((idx >> (n - (h + i))) & 1)
@@ -181,9 +168,8 @@ def req_b(n, b):
     n, b = int(n), int(b)
     if b > n:
         raise ShapeError("padded length must be at least b")
-    _check_zoo_cap(n, "req_b")
+    idx = limits.table_indexes(n)
     core = req(req_layout_for_bits(b))
-    idx = np.arange(1 << n, dtype=np.int64)
     return BoolFn(n, core.table[idx >> (n - b)])
 
 
@@ -277,8 +263,7 @@ def pj_output_bit(k, a, x):
 def pj_bool(k, a):
     """Truth table of the pointer-jumping output bit over the encoding bits."""
     n = pj_input_length(a)
-    _check_zoo_cap(n, "pj_bool")
-    return BoolFn.from_callable(n, lambda bits: pj_output_bit(k, a, bits))
+    return BoolFn(n, [pj_output_bit(k, a, x) for x in index_bits(limits.table_indexes(n), n)])
 
 
 def pj_2k_obdd(k, a):
@@ -295,6 +280,7 @@ def pj_2k_obdd(k, a):
     w = _pj_field_bits(a)
     n = 2 * a * w
     width = 2 * a * a
+    limits.check_program(2 * k * n, width, matrix=False)
 
     def node(v, acc):
         return v * a + acc
@@ -385,7 +371,6 @@ def rpj(k, layout):
     if k < 0:
         raise ShapeError("iteration count must be nonnegative")
     bl = layout.block_layout
-    _check_zoo_cap(bl.n, "rpj")
     a, w, b = layout.a, layout.w, layout.b
     addr, vals = bl.addresses_and_values("direct")
     size = addr.shape[0]
@@ -411,6 +396,7 @@ def _rpj_core(k, layout):
     parity-collection layer, then identity padding."""
     a, w, b = layout.a, layout.w, layout.b
     width = 2 * a * a
+    limits.check_program(2 * k * b, width, matrix=False)
 
     def node(v, acc):
         return v * a + acc
@@ -480,6 +466,12 @@ def rpj_2k_obdd(k, layout):
 # commutative classical base programs (lift inputs)
 
 
+def _signed_weight(q, v):
+    """Weight of variable v in the equality accumulators: +2^(v-1) in the first
+    half, -2^(v-q/2-1) in the second."""
+    return (1 << (v - 1)) if v <= q // 2 else -(1 << (v - q // 2 - 1))
+
+
 def eq_weighted_obdd(q):
     """Width 2*2^(q/2)-1 deterministic equality program: a signed accumulator
     adds +2^(i-1) for first-half ones and -2^(i-1) for the matching
@@ -490,24 +482,14 @@ def eq_weighted_obdd(q):
         raise ShapeError("eq program needs an even arity >= 2")
     m = 1 << (q // 2)
     d = 2 * m - 1
+    limits.check_program(q, d, matrix=False)
     perm = []
     for j in range(q // 2):
         perm += [j + 1, j + 1 + q // 2]
     order = VarOrder(perm)
-
-    def weight(v):
-        return (1 << (v - 1)) if v <= q // 2 else -(1 << (v - q // 2 - 1))
-
-    steps = []
-    for pos in range(q):
-        v = order.perm[pos]
-        wv = weight(v)
-        rows = []
-        for node in range(d):
-            delta = node - (m - 1)
-            target = min(max(delta + wv, -(m - 1)), m - 1) + (m - 1)
-            rows.append((node, target))
-        steps.append(rows)
+    node = np.arange(d)   # node m - 1 stands for the accumulator value 0
+    steps = [np.stack([node, np.clip(node + _signed_weight(q, v), 0, d - 1)], axis=1)
+             for v in order.perm]
     sinks = [1 if node == m - 1 else 0 for node in range(d)]
     return LeveledObdd(
         n=q,
@@ -529,6 +511,7 @@ def or_guess_nobdd(q):
     if q < 1:
         raise ShapeError("arity must be positive")
     width = q + 2
+    limits.check_program(q, width, matrix=True)
     start, acc = 0, q + 1
     steps = []
     for pos in range(q):
@@ -567,31 +550,17 @@ def eq_geometric_pobdd(q):
         raise ShapeError("eq program needs an even arity >= 2")
     m = 1 << (q // 2)
     width = 2 * m
+    limits.check_program(q, width, matrix=True)
     survive = (3.0 / 4.0) ** (1.0 / q)
-
-    def weight(v):
-        return (1 << (v - 1)) if v <= q // 2 else -(1 << (v - q // 2 - 1))
-
+    node = np.arange(1, width)
     steps = []
-    for pos in range(q):
-        v = pos + 1
-        wv = weight(v)
-        rows = []
-        for node in range(width):
-            if node == 0:
-                one_hot = np.zeros(width)
-                one_hot[0] = 1.0
-                rows.append((one_hot, one_hot.copy()))
-                continue
-            delta = node - m
-            r0 = np.zeros(width)
-            r1 = np.zeros(width)
-            r0[0] = 1.0 - survive
-            r0[min(max(delta, -(m - 1)), m - 1) + m] = survive
-            r1[0] = 1.0 - survive
-            r1[min(max(delta + wv, -(m - 1)), m - 1) + m] = survive
-            rows.append((r0, r1))
-        steps.append(rows)
+    for v in range(1, q + 1):
+        level = np.zeros((width, 2, width))   # level[node, bit] is the row of `node`
+        level[0, :, 0] = 1.0
+        level[1:, :, 0] = 1.0 - survive
+        for bit, shift in ((0, 0), (1, _signed_weight(q, v))):
+            level[node, bit, np.clip(node - m + shift, 1 - m, m - 1) + m] = survive
+        steps.append(level)
     return Pobdd(
         n=q,
         k=1,
@@ -649,6 +618,7 @@ def fingerprint_eq_qobdd(q, multipliers, recombine=False):
     if not ks:
         raise ShapeError("multiplier set must be nonempty")
     t = len(ks)
+    limits.check_program(q, 2 * t, matrix=True)
     m = 1 << (q // 2)
     w = _householder_to_first(t) if recombine else None
     steps = []
@@ -695,6 +665,7 @@ def fingerprint_modp_qobdd(p, n, multipliers):
     if not ks:
         raise ShapeError("multiplier set must be nonempty")
     t = len(ks)
+    limits.check_program(n, 2 * t, matrix=True)
     w = _householder_to_first(t)
     g1 = w @ _ensemble_blockdiag([math.pi * k / p for k in ks]) @ w.conj().T
     initial = np.zeros(2 * t, dtype=np.complex128)
@@ -808,7 +779,7 @@ def search_good_multipliers(
             for ks in combinations_with_replacement(pool, s):
                 trials += 1
                 worst = _worst_case(modulus, ks, objective)
-                if worst <= target + 1e-12:
+                if worst <= target + limits.EXACT_TOL:
                     return SearchResult(found=True, multipliers=ks, worst=worst,
                                         trials=trials, exhaustive=True, **meta)
         return SearchResult(found=False, multipliers=None, worst=None,
@@ -819,7 +790,7 @@ def search_good_multipliers(
         s = int(rng.integers(1, t + 1))
         ks = tuple(sorted(pool[int(i)] for i in rng.integers(0, len(pool), size=s)))
         worst = _worst_case(modulus, ks, objective)
-        if worst <= target + 1e-12:
+        if worst <= target + limits.EXACT_TOL:
             return SearchResult(found=True, multipliers=ks, worst=worst,
                                 trials=trials, exhaustive=False, **meta)
     return SearchResult(found=False, multipliers=None, worst=None,

@@ -231,6 +231,8 @@ def test_total_embedding_matches_function():
 def test_capacity_caps():
     with pytest.raises(CapacityError):
         BoolFn(25, np.zeros(1 << 25, dtype=np.uint8))
+    with pytest.raises(CapacityError):
+        BoolFn.from_hex(40, "0")   # refused before the 2**40-bit table is decoded
     f = BoolFn.from_callable(9, lambda x: x[0])
     with pytest.raises(CapacityError):
         n_min(f, strategy="enum")

@@ -2,6 +2,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -107,6 +108,72 @@ def test_enumeration_cap_is_checked_before_any_search(capsys, monkeypatch):
                               params={"function": "ws:11", "strategy": strategy})
         with pytest.raises(CapacityError):
             run(spec)
+
+
+def test_bad_counts_are_usage_errors(capsys):
+    for argv in (["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"],
+                 ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "0"],
+                 ["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"],
+                 ["verify", "reqb-padding-flips", "--seed", "-1"],
+                 ["suite", "negative", "--seed", "x"]):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2 and "Traceback" not in err, argv
+
+
+def test_sample_count_above_a_full_table_is_a_capacity_error(capsys):
+    from ddlab.limits import SAMPLE_CAP
+
+    rc, _, err = run_cli(capsys, "reorder", "eq-obdd:2", "--layout", "2",
+                         "--samples", str(SAMPLE_CAP + 1))
+    assert rc == 3 and "capacity error" in err
+
+
+@pytest.mark.parametrize("spec", ["eq-pobdd:40", "eq-obdd:40"])
+def test_oversized_programs_are_refused_before_they_are_built(capsys, spec):
+    start = time.perf_counter()
+    rc, _, err = run_cli(capsys, "eval", spec, "--input", "0")
+    assert rc == 3 and "capacity error" in err
+    assert time.perf_counter() - start < 1.0
+
+
+# one small spec of every function and program family, with its input length
+SWEEP_SPECS = {
+    "eq:4": 4, "req:2": 4, "modp:3,4": 4, "ws:4": 4, "wsb:5,2": 5, "mswb:4,2": 4,
+    "reqb:5,4": 5, "pj:1,2": 8, "rpj:1,2": 12,
+    "eq-obdd:4": 4, "or-nobdd:4": 4, "eq-pobdd:4": 4, "eq-qobdd:4": 4,
+    "eq-qobdd-recombined:8": 8, "modp-qobdd:3,4": 4, "pj-2k:1,2": 8, "rpj-2k:1,2": 12,
+    "rpj-core:1,2": 4, "tree:eq:4": 4,
+}
+
+
+def _sweep_commands(tmp_path):
+    saved = tmp_path / "negative.json"
+    for spec, n in SWEEP_SPECS.items():
+        layout = str(n) if n in (2, 4, 8) else "2"
+        yield ["eval", spec, "--input", "0" * n]
+        yield ["nsub", spec, "--cut", "1"]
+        yield ["width-exact", spec]
+        yield ["build", spec]
+        yield ["reorder", spec, "--layout", layout, "--mode", "xor"]
+        yield ["reorder", spec, "--layout", layout, "--mode", "direct", "--text"]
+    yield ["verify", "eq-cut-count-n4", "--format", "csv"]
+    yield ["verify", "reject-noncommutative-obdd"]
+    yield ["suite", "negative", "--out", str(saved)]
+    yield ["report", str(saved)]
+    yield ["report", str(tmp_path / "missing.json")]
+    yield ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"]
+    yield ["verify", "reqb-padding-flips", "--seed", "-1"]
+    yield ["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"]
+    yield ["eval", "eq-pobdd:40", "--input", "0"]
+    yield ["eval", "eq-obdd:40", "--input", "0"]
+    yield ["reorder", "eq-obdd:16", "--layout", "16"]
+
+
+def test_every_subcommand_ends_with_a_documented_exit_code(tmp_path, capsys):
+    # any exception escaping main fails the test with its traceback
+    for argv in _sweep_commands(tmp_path):
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc in (0, 1, 2, 3), argv
 
 
 def test_build(capsys):

@@ -49,6 +49,9 @@ def test_obdd_validation():
     with pytest.raises(ShapeError):
         LeveledObdd(n=2, k=1, order=VarOrder.identity(1), widths=[1, 2, 2], start=0,
                     steps=[[(0, 1)], [(0, 1), (1, 0)]], sink_values=[0, 1])
+    with pytest.raises(ShapeError):   # ragged rows
+        LeveledObdd(n=2, k=1, order=VarOrder.identity(2), widths=[1, 2, 2], start=0,
+                    steps=[[(0, 1)], [(0,), (1, 0)]], sink_values=[0, 1])
 
 
 def test_layer_ends_are_applied_between_layers():
@@ -94,6 +97,16 @@ def test_pobdd_rows_must_be_stochastic():
         Pobdd(n=1, k=1, order=VarOrder.identity(1), widths=[2, 2], start=0,
               steps=[[(np.array([1.2, -0.2]), good), (good, good)]],
               accepting=[1], epsilon=0.1)
+
+
+def test_pobdd_rows_must_be_pairs_of_full_rows():
+    good = np.array([0.5, 0.5])
+    for rows in ([(good, np.array([1.0])), (good, good)],   # ragged
+                 [(good, good, good), (good, good)],        # not a pair
+                 [(np.array([0.5, 0.25, 0.25]),) * 2] * 2):  # too long
+        with pytest.raises(ShapeError):
+            Pobdd(n=1, k=1, order=VarOrder.identity(1), widths=[2, 2], start=0,
+                  steps=[rows], accepting=[1], epsilon=0.1)
 
 
 def test_binary_tree_widths_for_equality():

@@ -74,10 +74,10 @@ def test_accept_probability_closed_form():
 
 
 def test_acceptance_dimension_cap():
+    # the operator entry cap is checked from n and dim, before the matrices are read
     with pytest.raises(CapacityError):
-        QuantumProgram(n=1, dim=8192, order=VarOrder.identity(1),
-                       initial=np.eye(8192, dtype=np.complex128)[0],
-                       steps=[(np.eye(8192), np.eye(8192))], accept=[1])
+        QuantumProgram(n=1, dim=8192, order=VarOrder.identity(1), initial=[1.0],
+                       steps=[(None, None)], accept=[1])
 
 
 def test_bounded_error_verdicts():

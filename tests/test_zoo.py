@@ -201,6 +201,48 @@ def test_classical_bases_compute_their_functions():
     assert is_commutative(eq_geometric_pobdd(4))
 
 
+def _eq_geometric_rows(q):
+    """The row-by-row construction of eq_geometric_pobdd(q), kept as its reference."""
+    m = 1 << (q // 2)
+    width = 2 * m
+    survive = (3.0 / 4.0) ** (1.0 / q)
+    steps = []
+    for v in range(1, q + 1):
+        wv = (1 << (v - 1)) if v <= q // 2 else -(1 << (v - q // 2 - 1))
+        rows = [(np.eye(width)[0], np.eye(width)[0])]
+        for node in range(1, width):
+            delta = node - m
+            r0, r1 = np.zeros(width), np.zeros(width)
+            r0[0] = r1[0] = 1.0 - survive
+            r0[min(max(delta, -(m - 1)), m - 1) + m] = survive
+            r1[min(max(delta + wv, -(m - 1)), m - 1) + m] = survive
+            rows.append((r0, r1))
+        steps.append(rows)
+    return steps
+
+
+def _eq_weighted_rows(q):
+    """The row-by-row construction of eq_weighted_obdd(q), kept as its reference."""
+    m = 1 << (q // 2)
+    steps = []
+    for v in eq_weighted_obdd(q).order.perm:
+        wv = (1 << (v - 1)) if v <= q // 2 else -(1 << (v - q // 2 - 1))
+        steps.append([(node, min(max(node - (m - 1) + wv, -(m - 1)), m - 1) + (m - 1))
+                      for node in range(2 * m - 1)])
+    return steps
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_equality_programs_match_the_row_by_row_construction(q):
+    prog = eq_geometric_pobdd(q)
+    for (p0, p1), rows in zip(prog.steps, _eq_geometric_rows(q)):
+        assert np.array_equal(p0, np.stack([r0 for r0, _ in rows]))
+        assert np.array_equal(p1, np.stack([r1 for _, r1 in rows]))
+        assert p0.flags.c_contiguous and p1.flags.c_contiguous
+    for (t0, t1), rows in zip(eq_weighted_obdd(q).steps, _eq_weighted_rows(q)):
+        assert t0.tolist() == [r[0] for r in rows] and t1.tolist() == [r[1] for r in rows]
+
+
 def test_fingerprint_eq_matches_formula():
     for q, recombine in ((2, False), (2, True), (4, False), (4, True)):
         ks = eq_multipliers(q)["multipliers"]
