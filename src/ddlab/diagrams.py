@@ -298,7 +298,9 @@ class Nobdd(LeveledProgram):
         for node, row in enumerate(level):
             for bit, succ in zip((0, 1), row):
                 for t in succ:
-                    t = int(t)
+                    # int() would read a boolean row's entries as nodes 0 and 1
+                    if type(t) is not int and not isinstance(t, np.integer):
+                        raise ShapeError("level %d successors must be node indexes" % ell)
                     if not 0 <= t < w_next:
                         raise StructuralError("level %d successor targets a missing node" % ell)
                     mats[bit, node, t] = True
@@ -551,7 +553,10 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     acceptance probabilities). Works for every program kind.
 
     `sample_orders` gives the orders tried. Functional equality is checked on
-    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP).
+    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP), on the copy padded to the
+    widest level (`_padded`). Its padding rows go to node 0, so a program
+    with unequal level widths may be called non-commutative even though it
+    is order-independent.
     """
     n = program.n
     limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")

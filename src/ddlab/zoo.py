@@ -278,50 +278,9 @@ def pj_2k_obdd(k, a):
     if k < 1:
         raise ShapeError("iteration count must be at least 1")
     w = _pj_field_bits(a)
-    n = 2 * a * w
-    width = 2 * a * a
-    limits.check_program(2 * k * n, width, matrix=False)
-
-    def node(v, acc):
-        return v * a + acc
-
-    steps = []
-    layer_ends = []
-    for _layer in range(k):
-        for pos in range(n):
-            field_vertex = pos // w
-            t = pos % w
-            addend = (1 << (w - 1 - t)) % a
-            rows = []
-            for v in range(2 * a):
-                for acc in range(a):
-                    if v == field_vertex:
-                        rows.append((node(v, acc), node(v, (acc + addend) % a)))
-                    else:
-                        rows.append((node(v, acc), node(v, acc)))
-            steps.append(rows)
-        end = np.empty(width, dtype=np.int64)
-        for v in range(2 * a):
-            for acc in range(a):
-                new_v = acc + a if v < a else acc
-                end[node(v, acc)] = node(new_v, 0)
-        layer_ends.append(end)
-    for _layer in range(k, 2 * k):
-        for _pos in range(n):
-            rows = [(i, i) for i in range(width)]
-            steps.append(rows)
-        layer_ends.append(None)
-    sinks = [bin(i // a).count("1") & 1 for i in range(width)]
-    return LeveledObdd(
-        n=n,
-        k=2 * k,
-        order=VarOrder.identity(n),
-        widths=[width] * (2 * k * n + 1),
-        start=node(0, 0),
-        steps=steps,
-        sink_values=sinks,
-        layer_ends=layer_ends,
-    )
+    pos = np.arange(2 * a * w)
+    return _walk_program(a, pos // w, (1 << (w - 1 - pos % w)) % a, k, None,
+                         lambda v, acc: sum((v >> t) & 1 for t in range(w)) & 1)
 
 
 @dataclass(frozen=True)
@@ -394,59 +353,34 @@ def _rpj_core(k, layout):
     """2k-layer walk over the b value bits in owned-address order (the base
     program the addressed lift is applied to): k accumulation layers, one
     parity-collection layer, then identity padding."""
-    a, w, b = layout.a, layout.w, layout.b
-    width = 2 * a * a
-    limits.check_program(2 * k * b, width, matrix=False)
+    pos = np.arange(layout.b)
+    return _walk_program(layout.a, pos // layout.w, (1 << (pos % layout.w)) % layout.a, k,
+                         lambda acc: np.where(acc < 2, acc ^ 1, acc), lambda v, acc: acc & 1)
 
-    def node(v, acc):
-        return v * a + acc
 
-    steps = []
-    layer_ends = []
-    for _layer in range(k):
-        for pos in range(b):
-            owner_v = pos // w
-            addend = (1 << (pos % w)) % a
-            rows = []
-            for v in range(2 * a):
-                for acc in range(a):
-                    if v == owner_v:
-                        rows.append((node(v, acc), node(v, (acc + addend) % a)))
-                    else:
-                        rows.append((node(v, acc), node(v, acc)))
-            steps.append(rows)
-        end = np.empty(width, dtype=np.int64)
-        for v in range(2 * a):
-            for acc in range(a):
-                new_v = acc + a if v < a else acc
-                end[node(v, acc)] = node(new_v, 0)
-        layer_ends.append(end)
-    for pos in range(b):
-        owner_v = pos // w
-        rows = []
-        for v in range(2 * a):
-            for acc in range(a):
-                if v == owner_v:
-                    rows.append((node(v, acc), node(v, acc ^ 1 if acc < 2 else acc)))
-                else:
-                    rows.append((node(v, acc), node(v, acc)))
-        steps.append(rows)
-    layer_ends.append(None)
-    for _layer in range(k + 1, 2 * k):
-        for _pos in range(b):
-            steps.append([(i, i) for i in range(width)])
-        layer_ends.append(None)
-    sinks = [(i % a) & 1 for i in range(width)]
-    return LeveledObdd(
-        n=b,
-        k=2 * k,
-        order=VarOrder.identity(b),
-        widths=[width] * (2 * k * b + 1),
-        start=node(0, 0),
-        steps=steps,
-        sink_values=sinks,
-        layer_ends=layer_ends,
-    )
+def _walk_program(a, owners, addends, k, tail, sinks):
+    """The 2k-layer walk over len(owners) variables on the nodes v*a + acc
+    (vertex v < 2a, mod-a accumulator acc). In each of the first k layers a
+    one at variable i adds addends[i] to the accumulator of vertex owners[i],
+    and the layer end moves (v, acc) to (acc + a if v < a else acc, 0). With
+    `tail`, one more layer maps each owner's accumulator acc to tail(acc).
+    Identity levels pad the rest; `sinks(v, acc)` gives the sink bits."""
+    owners, addends = owners[:, None], addends[:, None]
+    n, width = owners.shape[0], 2 * a * a
+    limits.check_program(2 * k * n, width, matrix=False)
+    node = np.arange(width)
+    v, acc = np.divmod(node, a)
+
+    def layer(new_acc):
+        ones = np.where(v == owners, v * a + new_acc, node)
+        return list(np.stack(np.broadcast_arrays(node, ones), axis=2))
+
+    steps = layer((acc + addends) % a) * k + (layer(tail(acc)) if tail else [])
+    steps += [np.stack([node, node], axis=1)] * (2 * k * n - len(steps))
+    end = np.where(v < a, acc + a, acc) * a
+    return LeveledObdd(n=n, k=2 * k, order=VarOrder.identity(n), widths=[width] * (2 * k * n + 1),
+                       start=0, steps=steps, sink_values=sinks(v, acc),
+                       layer_ends=[end] * k + [None] * k)
 
 
 def rpj_2k_obdd(k, layout):
@@ -682,19 +616,24 @@ def fingerprint_modp_qobdd(p, n, multipliers):
     )
 
 
-def eq_acceptance_formula(q, multipliers, delta, recombine=False):
-    """Closed-form acceptance of the equality tester at half-difference delta."""
-    m = 1 << (int(q) // 2)
-    cos = [math.cos(math.pi * k * delta / m) for k in multipliers]
+def _ensemble_acceptance(modulus, multipliers, delta, recombine):
+    """Acceptance of the rotation ensemble whose machine j has turned by
+    pi*k_j*delta/modulus: the mean of the squared cosines, or with
+    recombine=True the square of their mean."""
+    cos = [math.cos(math.pi * k * delta / modulus) for k in multipliers]
     if recombine:
         return (sum(cos) / len(cos)) ** 2
     return sum(c * c for c in cos) / len(cos)
 
 
+def eq_acceptance_formula(q, multipliers, delta, recombine=False):
+    """Closed-form acceptance of the equality tester at half-difference delta."""
+    return _ensemble_acceptance(1 << (int(q) // 2), multipliers, delta, recombine)
+
+
 def modp_acceptance_formula(p, multipliers, weight):
     """Closed-form acceptance of the weight tester at input weight `weight`."""
-    cos = [math.cos(math.pi * k * weight / p) for k in multipliers]
-    return (sum(cos) / len(cos)) ** 2
+    return _ensemble_acceptance(p, multipliers, weight, True)
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +661,8 @@ _OBJECTIVES = ("cos2_mean", "mean_cos_sq")
 
 def _worst_case(modulus, ks, objective):
     """Worst acceptance over nonzero residues for a multiplier multiset."""
-    worst = 0.0
-    t = len(ks)
-    for delta in range(1, modulus):
-        cos = [math.cos(math.pi * k * delta / modulus) for k in ks]
-        if objective == "cos2_mean":
-            val = sum(c * c for c in cos) / t
-        else:
-            val = (sum(cos) / t) ** 2
-        if val > worst:
-            worst = val
-    return worst
+    return max(_ensemble_acceptance(modulus, ks, delta, objective == "mean_cos_sq")
+               for delta in range(1, modulus))
 
 
 def search_good_multipliers(

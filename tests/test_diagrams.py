@@ -77,6 +77,19 @@ def test_eval_nobdd_existential():
     assert eval_nobdd(prog, (0, 1, 0)) == 1
 
 
+def test_nobdd_successors_must_be_node_indexes():
+    def build(rows):
+        return Nobdd(n=1, k=1, order=VarOrder.identity(1), widths=[1, 2], start=0,
+                     steps=[rows], accepting=[1])
+
+    assert function_of(build([((0,), (np.int64(1),))])).table.tolist() == [0, 1]
+    # x1 written in the Pobdd level shape (w, 2, w'): a boolean row per bit
+    for rows in (np.array([[[True, False], [False, True]]]), [([True], [1])],
+                 [((0,), (np.True_,))], [((0.0,), (1,))], [((0,), (np.array([1]),))]):
+        with pytest.raises(ShapeError):
+            build(rows)
+
+
 def test_eval_pobdd_acceptance():
     prog = eq_geometric_pobdd(2)
     acc = acceptance_table(prog)

@@ -2,6 +2,7 @@
 import importlib
 import pkgutil
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from ddlab import limits
 from ddlab.boolfn import BoolFn, VarOrder
 from ddlab.diagrams import LeveledObdd, Pobdd, embed_obdd_as_nobdd, rounded_table
 from ddlab.errors import CapacityError
+from ddlab.experiments import parse_program_spec
 from ddlab.fixtures import modp_multipliers
 from ddlab.quantum import acceptance_table, computes_with_bounded_error
 from ddlab.reorder import BlockLayout, reorder_nobdd
 from ddlab.zoo import (RpjLayout, eq, eq_geometric_pobdd, eq_weighted_obdd,
                        fingerprint_modp_qobdd, mod_p, msw_b, or_guess_nobdd, pj_2k_obdd, pj_bool,
-                       req, req_b, rpj, ws, ws_b)
+                       req, req_b, rpj, rpj_2k_obdd, ws, ws_b, _rpj_core)
 
 
 def test_caps_and_tolerances_are_defined_only_in_limits():
@@ -70,11 +72,26 @@ def test_constructors_check_the_entry_cap_before_reading_rows():
 @pytest.mark.parametrize("build", [
     lambda: eq_weighted_obdd(40), lambda: eq_geometric_pobdd(40), lambda: or_guess_nobdd(10 ** 5),
     lambda: pj_2k_obdd(1, 1024),
+    lambda: _rpj_core(1, RpjLayout(256)), lambda: rpj_2k_obdd(1, RpjLayout(256)),
     lambda: fingerprint_modp_qobdd(3, 10 ** 8, modp_multipliers(3)["multipliers"]),
-], ids=["eq-obdd", "eq-pobdd", "or-nobdd", "pj-2k", "modp-qobdd"])
+], ids=["eq-obdd", "eq-pobdd", "or-nobdd", "pj-2k", "rpj-core", "rpj-2k", "modp-qobdd"])
 def test_program_builders_refuse_above_the_entry_cap(build):
     with pytest.raises(CapacityError):
         build()
+
+
+@pytest.mark.parametrize("spec", ["eq-obdd:20", "eq-pobdd:14", "or-nobdd:128", "pj-2k:1,16",
+                                  "pj-2k:2,8", "rpj-core:1,16"])
+def test_program_builders_peak_within_three_times_their_packed_operators(spec):
+    # the entry cap bounds the packed operators, so it bounds a build only
+    # if the build's scratch memory stays within a small multiple of them
+    tracemalloc.start()
+    try:
+        prog = parse_program_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(op.nbytes for pair in prog.steps for op in pair)
 
 
 def test_lift_checks_the_entry_cap_before_building():

@@ -18,7 +18,7 @@ from ddlab.zoo import (PjInstance, RpjLayout, eq, eq_acceptance_formula,
                        or_guess_nobdd, pj_2k_obdd, pj_bool, pj_decode, pj_encode,
                        pj_eval, pj_input_length, pj_output_bit, req, req_b,
                        req_layout_for_bits, rpj, rpj_2k_obdd,
-                       search_good_multipliers, ws, ws_b)
+                       search_good_multipliers, ws, ws_b, _rpj_core)
 
 
 def test_eq_basics():
@@ -178,6 +178,76 @@ def test_rpj_worked_example():
     # duplicate addresses accumulate additively: two blocks into vertex 0
     x = bl.assemble_input([0, 0, 2, 3], [1, 1, 1, 0], "direct")
     assert evaluate(f, x) == 1  # BV(0)=2 mod 2=0: reach vertex 2
+
+
+def _walk_rows(a, fields, k, tail, sink):
+    """The row-by-row construction of the pointer-jumping walks, kept as the
+    reference for pj_2k_obdd and _rpj_core: `fields` lists (owner, addend) per
+    variable, `tail` is the parity-collection map of _rpj_core's extra layer
+    (or None) and `sink` maps a node to its sink bit. Returns the widths,
+    start, steps, sink values and layer-end maps."""
+    width = 2 * a * a
+
+    def node(v, acc):
+        return v * a + acc
+
+    def level(owner_v, new_acc):
+        rows = []
+        for v in range(2 * a):
+            for acc in range(a):
+                if v == owner_v:
+                    rows.append((node(v, acc), node(v, new_acc(acc))))
+                else:
+                    rows.append((node(v, acc), node(v, acc)))
+        return rows
+
+    steps, layer_ends = [], []
+    for _layer in range(k):
+        for owner_v, addend in fields:
+            steps.append(level(owner_v, lambda acc: (acc + addend) % a))
+        end = [0] * width
+        for v in range(2 * a):
+            for acc in range(a):
+                end[node(v, acc)] = node(acc + a if v < a else acc, 0)
+        layer_ends.append(end)
+    if tail is not None:
+        for owner_v, _addend in fields:
+            steps.append(level(owner_v, tail))
+        layer_ends.append(None)
+    while len(layer_ends) < 2 * k:
+        steps += [[(i, i) for i in range(width)]] * len(fields)
+        layer_ends.append(None)
+    widths = [width] * (len(steps) + 1)
+    return widths, node(0, 0), steps, [sink(i) for i in range(width)], layer_ends
+
+
+def _pj_2k_rows(k, a):
+    w = (2 * a - 1).bit_length()
+    fields = [(pos // w, (1 << (w - 1 - pos % w)) % a) for pos in range(2 * a * w)]
+    return _walk_rows(a, fields, k, None, lambda i: bin(i // a).count("1") & 1)
+
+
+def _rpj_core_rows(k, layout):
+    a, w = layout.a, layout.w
+    fields = [(pos // w, (1 << (pos % w)) % a) for pos in range(layout.b)]
+    return _walk_rows(a, fields, k, lambda acc: acc ^ 1 if acc < 2 else acc,
+                      lambda i: (i % a) & 1)
+
+
+@pytest.mark.parametrize("kind,k,a", [("pj", k, a) for k in (1, 2, 3) for a in (2, 4, 8)]
+                         + [("rpj", k, a) for k in (1, 2, 3) for a in (2, 4)])
+def test_walk_programs_match_the_row_by_row_construction(kind, k, a):
+    if kind == "pj":
+        prog, ref = pj_2k_obdd(k, a), _pj_2k_rows(k, a)
+    else:
+        prog, ref = _rpj_core(k, RpjLayout(a)), _rpj_core_rows(k, RpjLayout(a))
+    widths, start, steps, sinks, layer_ends = ref
+    assert (list(prog.widths), prog.start, prog.k) == (widths, start, 2 * k)
+    assert len(prog.steps) == len(steps)
+    for (t0, t1), rows in zip(prog.steps, steps):
+        assert t0.tolist() == [r[0] for r in rows] and t1.tolist() == [r[1] for r in rows]
+    assert prog.sink_values.tolist() == sinks
+    assert [None if e is None else e.tolist() for e in prog.layer_ends] == layer_ends
 
 
 def test_rpj_program_equivalence_and_width():
