@@ -95,6 +95,9 @@ def _cmd_reorder(args):
         layout = BlockLayout(args.layout)
     except ShapeError as exc:
         raise UsageError(str(exc)) from None
+    base = parse_program_spec(args.spec)
+    if base.n != layout.q:
+        raise UsageError("base program arity %d does not match layout q=%d" % (base.n, layout.q))
     params = {"base": args.spec, "layout": args.layout, "mode": args.mode}
     if args.samples:
         params["samples"] = args.samples
@@ -102,7 +105,7 @@ def _cmd_reorder(args):
                           check_id="reorder-%s-%s" % (args.mode, args.spec))
     if args.text:
         from .experiments import _lift_program
-        lifted = _lift_program(parse_program_spec(args.spec), layout, args.mode)
+        lifted = _lift_program(base, layout, args.mode)
         if isinstance(lifted, QuantumProgram):
             sys.stdout.write(quantum_to_json(lifted) + "\n")
         else:

@@ -16,11 +16,17 @@ packed and acts on the state, and in how the last state is read out:
                   (quantum.py; one pair per variable, repeated each layer)
 
 `propagate` runs a batch of inputs, a (B, n) bit matrix, through the levels;
-a truth table is the batch of all 2**n inputs. Every whole-table routine,
-the bounded-error check and the commutativity check call it. The per-input
-evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
-`quantum.accept_probability`) share `_evaluate`, the plain per-level loop
-that the batch route is tested against.
+a truth table is the batch of all 2**n inputs. Every whole-table routine and
+the bounded-error check call it. The per-input evaluators (`eval_obdd`,
+`eval_nobdd`, `eval_pobdd` and `quantum.accept_probability`) share
+`_evaluate`, the plain per-level loop that the batch route is tested against.
+
+The commutativity check runs a chunk of sampled orders at once over a prefix
+trie (`_permuted_profile`): in the first layer an order's state after ell
+levels has only the 2**ell rows of the bits read so far, and each level
+gathers, per order, its variable's operators from a per-layer stack. A chunk
+spans at most `_CHUNK_ROWS` (order, input) rows; the check returns False
+after the first chunk in which an order differs.
 
 Conventions:
   * `layer_ends` is an optional per-layer endomap applied to the node reached
@@ -295,15 +301,18 @@ class Nobdd(LeveledProgram):
 
     def _pack_level(self, ell, level, w, w_next):
         mats = np.zeros((2, w, w_next), dtype=bool)
-        for node, row in enumerate(level):
-            for bit, succ in zip((0, 1), row):
-                for t in succ:
-                    # int() would read a boolean row's entries as nodes 0 and 1
-                    if type(t) is not int and not isinstance(t, np.integer):
-                        raise ShapeError("level %d successors must be node indexes" % ell)
-                    if not 0 <= t < w_next:
-                        raise StructuralError("level %d successor targets a missing node" % ell)
-                    mats[bit, node, t] = True
+        try:
+            for node, (succ0, succ1) in enumerate(level):
+                for bit, succ in ((0, succ0), (1, succ1)):
+                    for t in succ:
+                        # int() would read a boolean row's entries as nodes 0 and 1
+                        if type(t) is not int and not isinstance(t, np.integer):
+                            raise ShapeError("level %d successors must be node indexes" % ell)
+                        if not 0 <= t < w_next:
+                            raise StructuralError("level %d successor targets a missing node" % ell)
+                        mats[bit, node, t] = True
+        except (TypeError, ValueError):
+            raise ShapeError("level %d rows must be pairs of successor sets" % ell) from None
         return mats[0], mats[1]
 
     def _readout(self, states):
@@ -417,34 +426,22 @@ def _padded(program):
     )
 
 
-def propagate(program, bits, perm=None):
+def propagate(program, bits):
     """Output of any program kind on each row of `bits`, a (B, n) 0/1 matrix:
     the sink bit, 1 iff an accepting node is reachable, or the acceptance
-    probability.
-
-    With `perm`, the variables are read in that order instead, each with the
-    operators it has in the program, on the copy padded to the widest level;
-    layer-end maps stay pinned at layer boundaries.
-    """
+    probability."""
     if not isinstance(program, LeveledProgram):
         raise ShapeError("propagate expects a leveled or quantum program")
     bits = np.asarray(bits, dtype=bool)
-    n = program.n
+    n, perm = program.n, program.order.perm
     if bits.ndim != 2 or bits.shape[1] != n:
         raise ShapeError("expected a (B, %d) bit matrix" % n)
-    if perm is None:
-        perm = program.order.perm
-    else:
-        perm = _norm_order(perm, n).perm
-        program = _padded(program)
-    position = {v: i for i, v in enumerate(program.order.perm)}
-    levels = [(v - 1, program._pair(j * n + position[v])) for j in range(program.k) for v in perm]
     out = []
     for lo in range(0, max(bits.shape[0], 1), _CHUNK_ROWS):
         columns = np.ascontiguousarray(bits[lo: lo + _CHUNK_ROWS].T)
         states = program._first(columns.shape[1])
-        for ell, (var, pair) in enumerate(levels):
-            states = program._step(states, pair, columns[var])
+        for ell in range(program.k * n):
+            states = program._step(states, program._pair(ell), columns[perm[ell % n] - 1])
             if (ell + 1) % n == 0 and program.layer_ends[ell // n] is not None:
                 states = program._end(states, program.layer_ends[ell // n])
         out.append(program._readout(states))
@@ -528,23 +525,53 @@ def build_binary_tree_obdd(f, live=None):
     )
 
 
-def _permuted_profile(program, perm, padded):
-    """Output of the program on every input with its variables read in order
-    `perm`; `padded` is the program padded to its widest level."""
-    return propagate(padded, _all_inputs(program.n), perm)
+def _permuted_profile(padded, perms):
+    """Output of the padded program on every input, in truth-table order, with
+    its variables read in each order of `perms` instead: one row per order.
+
+    Bit ell of a state's row number is the bit read at level ell of a layer:
+    the first layer adds each level's bit as the new top bit, and later ones
+    read bit 0 and rotate it to the top, back in place at each layer end."""
+    n, perms = padded.n, np.asarray(perms, dtype=np.int64) - 1
+    t = perms.shape[0]
+    # order t's output on input i: flat index t * 2**n + sum(2**level(v) for v set in i)
+    weight, h = 1 << np.argsort(perms, axis=1), n // 2
+    high = (_all_inputs(h) @ weight[:, :h].T).T + (np.arange(t) << n)[:, None]
+    low = _all_inputs(n - h) @ weight[:, h:].T
+    rows = (high[:, :, None] + low.T[:, None, :]).reshape(t, -1)
+    position = sorted(range(n), key=padded.order.perm.__getitem__)
+    states = padded._first(t)[:, None]
+    rest = states.shape[2:]
+    offsets = np.arange(2 * t).reshape(t, 2, 1) * padded.widths[0]   # of the (order, bit) maps
+    for j in range(padded.k):
+        stack = np.array([padded._pair(j * n + p) for p in position])
+        read = (t, -1, 1 if j == 0 else 2) + rest
+        for var in perms.T:
+            view = states.reshape(read).swapaxes(1, 2)
+            if padded._MATRIX:
+                states = padded._act(view, stack[var]).reshape((t, -1) + rest)
+            else:
+                states = stack[var].ravel()[view + offsets].reshape(t, -1)
+        if padded.layer_ends[j] is not None:
+            states = padded._end(states, padded.layer_ends[j])
+    return padded._readout(states).ravel()[rows]
 
 
 def sample_orders(n, trials, seed):
     """Deterministically sampled variable orders (all n! when n <= limits.EXHAUSTIVE_PERM_CAP)."""
+    return list(_orders(n, trials, seed))
+
+
+def _orders(n, trials, seed):
+    """The orders of `sample_orders`, drawn one at a time."""
     if n <= limits.EXHAUSTIVE_PERM_CAP:
-        return [perm for perm in itertools.permutations(range(1, n + 1))]
+        yield from itertools.permutations(range(1, n + 1))
+        return
     rng = random.Random(seed)
-    out = []
     for _ in range(trials):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        out.append(tuple(perm))
-    return out
+        yield tuple(perm)
 
 
 def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limits.TOL):
@@ -557,14 +584,24 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     widest level (`_padded`). Its padding rows go to node 0, so a program
     with unequal level widths may be called non-commutative even though it
     is order-independent.
+
+    The own order and the sampled ones are drawn and run in chunks of at most
+    max(1, _CHUNK_ROWS >> n) orders, the memory of one `propagate` chunk: up
+    to three in the first, then at most three times all before, so an early
+    difference is found after little work.
     """
     n = program.n
     limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     padded = _padded(program)
-    baseline = _permuted_profile(program, program.order.perm, padded).astype(np.float64)
-    for perm in sample_orders(n, trials, seed):
-        if np.any(np.abs(_permuted_profile(program, perm, padded) - baseline) > tol):
+    orders = itertools.chain([program.order.perm], _orders(n, trials, seed))
+    budget, done = max(1, _CHUNK_ROWS >> n), 0
+    while chunk := list(itertools.islice(orders, min(budget, 3 * max(done, 1)))):
+        profiles = _permuted_profile(padded, chunk)
+        if not done:
+            baseline = profiles[0]
+        if np.any(np.abs(profiles - baseline.astype(np.float64)) > tol):
             return False
+        done += len(chunk)
     return True
 
 

@@ -100,7 +100,7 @@ class QuantumProgram(LeveledProgram):
         return self.initial.copy() if rows is None else np.tile(self.initial, (rows, 1))
 
     def _act(self, states, g):
-        return states @ g.T
+        return states @ np.swapaxes(g, -1, -2)   # g may be a stack of operators
 
     def _act_one(self, state, g):
         state = g @ state

@@ -69,6 +69,14 @@ def test_reorder_layout_usage_error(capsys):
     assert rc == 2 and "power of two" in err
 
 
+def test_reorder_arity_mismatch_is_a_usage_error(capsys):
+    for mode in ("direct", "xor"):
+        rc, _, err = run_cli(capsys, "reorder", "rpj-core:2,2", "--layout", "8", "--mode", mode)
+        assert rc == 2 and "arity 4 does not match layout q=8" in err
+    rc, _, err = run_cli(capsys, "reorder", "eq-obdd:4", "--layout", "2", "--text")
+    assert rc == 2 and "arity" in err
+
+
 def test_report_rejects_non_json_file(tmp_path, capsys):
     path = tmp_path / "not-json.csv"
     path.write_text("check_id,kind,passed\n")

@@ -1,0 +1,223 @@
+"""The batched commutativity route against the per-order reference loop.
+
+`diagrams._permuted_profile` propagates a chunk of variable orders together,
+and `is_commutative` compares each chunk with the program's own order. The
+reference below runs one order at a time: every input goes through the
+padded program's levels in that order with the kind's own `_step`, and the
+layer-end maps stay pinned at layer boundaries. Both routes must give the
+same outputs, exactly for 0/1 outputs and within 1e-12 for acceptance
+probabilities, and the same verdicts.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ddlab import limits
+from ddlab.boolfn import VarOrder
+from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs, _padded,
+                            _permuted_profile, is_commutative, sample_orders, width)
+from ddlab.experiments import parse_program_spec
+from ddlab.quantum import QuantumProgram
+
+PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qobdd:3,5",
+                 "eq-qobdd-recombined:8", "pj-2k:1,2", "pj-2k:2,2", "pj-2k:3,2",
+                 "rpj-core:1,2", "rpj-core:2,2", "tree:eq:4", "tree:eq:6"]
+
+
+def _reference_profile(padded, perm):
+    """Output of the padded program on every input with its variables read in order `perm`."""
+    n = padded.n
+    position = {v: i for i, v in enumerate(padded.order.perm)}
+    columns = np.ascontiguousarray(_all_inputs(n).T)
+    states = padded._first(columns.shape[1])
+    for j in range(padded.k):
+        for v in perm:
+            states = padded._step(states, padded._pair(j * n + position[v]), columns[v - 1])
+        if padded.layer_ends[j] is not None:
+            states = padded._end(states, padded.layer_ends[j])
+    return padded._readout(states)
+
+
+def _reference_is_commutative(program, trials, seed, tol=limits.TOL):
+    padded = _padded(program)
+    baseline = _reference_profile(padded, program.order.perm).astype(np.float64)
+    return all(not np.any(np.abs(_reference_profile(padded, perm) - baseline) > tol)
+               for perm in sample_orders(program.n, trials, seed))
+
+
+def _assert_profiles_match(program, perms):
+    padded = _padded(program)
+    batched = _permuted_profile(padded, perms)
+    reference = np.array([_reference_profile(padded, perm) for perm in perms])
+    assert batched.shape == reference.shape == (len(perms), 1 << program.n)
+    if isinstance(program, (LeveledObdd, Nobdd)):
+        assert np.array_equal(batched, reference)
+    else:
+        np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", PROGRAM_SPECS)
+def test_batched_profiles_match_the_per_order_loop(spec):
+    program = parse_program_spec(spec)
+    perms = [program.order.perm] + sample_orders(program.n, 40, seed=3)
+    _assert_profiles_match(program, perms)
+    _assert_profiles_match(program, perms[-1:])
+
+
+# --------------------------------------------------------------------------
+# seeded random programs of every kind: n <= 7, k <= 2, mixed level widths
+
+
+def _random_order(rng, n):
+    return VarOrder([int(v) + 1 for v in rng.permutation(n)])
+
+
+def _shape(rng, kind):
+    """n, k, level widths, and whether the levels are built to commute (one
+    shared width, operators drawn from a commuting family)."""
+    n, k = int(rng.integers(1, 8)), int(rng.integers(1, 3))
+    commuting = rng.random() < 0.4
+    if commuting or kind is QuantumProgram:
+        widths = [int(rng.integers(2, 6))] * (k * n + 1)
+    else:
+        widths = [int(w) for w in rng.integers(2, 6, size=k * n + 1)]
+    return n, k, widths, commuting
+
+
+def _some(rng, w):
+    """w random bits, both values present."""
+    return rng.permutation(np.arange(w) % 2)
+
+
+def _layer_ends(rng, k, n, widths):
+    ends = [widths[(j + 1) * n] for j in range(k)]
+    return [None if rng.random() < 0.5 else rng.integers(0, w, w) for w in ends]
+
+
+def _levels(rng, n, k, widths, commuting, commuting_op, random_op):
+    """One operator pair per level. A commuting program draws them from
+    `commuting_op`; a third of those then get one random operator."""
+    steps = [tuple((commuting_op if commuting else random_op)(widths[ell], widths[ell + 1])
+                   for _ in range(2)) for ell in range(k * n)]
+    if commuting and rng.random() < 1 / 3:
+        ell = int(rng.integers(0, k * n))
+        steps[ell] = (random_op(widths[ell], widths[ell + 1]), steps[ell][1])
+    return steps
+
+
+def _random_obdd(rng):
+    n, k, widths, commuting = _shape(rng, LeveledObdd)
+
+    def shift(w, w_next):
+        return (np.arange(w) + rng.integers(0, w)) % w
+
+    def random_map(w, w_next):
+        return rng.integers(0, w_next, w)
+
+    steps = _levels(rng, n, k, widths, commuting, shift, random_map)
+    return LeveledObdd(n=n, k=k, order=_random_order(rng, n), widths=widths, start=0,
+                       steps=[np.stack(pair, axis=1).tolist() for pair in steps],
+                       sink_values=_some(rng, widths[-1]),
+                       layer_ends=_layer_ends(rng, k, n, widths))
+
+
+def _circulant(rng, w, weights):
+    return sum(c * np.roll(np.eye(w), s, axis=1) for s, c in enumerate(weights))
+
+
+def _random_nobdd(rng):
+    n, k, widths, commuting = _shape(rng, Nobdd)
+
+    def boolean_circulant(w, w_next):
+        return _circulant(rng, w, rng.random(w) < 0.4) > 0
+
+    def random_relation(w, w_next):
+        return rng.random((w, w_next)) < 0.4
+
+    steps = _levels(rng, n, k, widths, commuting, boolean_circulant, random_relation)
+    rows = [[tuple(tuple(int(t) for t in np.flatnonzero(op[node])) for op in pair)
+             for node in range(pair[0].shape[0])] for pair in steps]
+    return Nobdd(n=n, k=k, order=_random_order(rng, n), widths=widths, start=0, steps=rows,
+                 accepting=np.flatnonzero(_some(rng, widths[-1])),
+                 layer_ends=_layer_ends(rng, k, n, widths))
+
+
+def _random_pobdd(rng):
+    n, k, widths, commuting = _shape(rng, Pobdd)
+
+    def stochastic_circulant(w, w_next):
+        return _circulant(rng, w, rng.dirichlet(np.ones(w)))
+
+    def random_stochastic(w, w_next):
+        return rng.dirichlet(np.ones(w_next), size=w)
+
+    steps = _levels(rng, n, k, widths, commuting, stochastic_circulant, random_stochastic)
+    return Pobdd(n=n, k=k, order=_random_order(rng, n), widths=widths, start=0,
+                 steps=[np.stack(pair, axis=1) for pair in steps],
+                 accepting=np.flatnonzero(_some(rng, widths[-1])), epsilon=0.1,
+                 layer_ends=_layer_ends(rng, k, n, widths))
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_quantum(rng):
+    n, k, widths, commuting = _shape(rng, QuantumProgram)
+    dim = widths[0]
+    basis = _random_unitary(rng, dim)
+
+    def commuting_unitary(w, w_next):
+        return (basis * np.exp(2j * np.pi * rng.random(dim))) @ basis.conj().T
+
+    def random_unitary(w, w_next):
+        return _random_unitary(rng, dim)
+
+    steps = _levels(rng, n, 1, widths, commuting, commuting_unitary, random_unitary)
+    initial = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return QuantumProgram(n=n, dim=dim, order=_random_order(rng, n),
+                          initial=initial / np.linalg.norm(initial), steps=steps, k=k,
+                          accept=1 + np.flatnonzero(_some(rng, dim)))
+
+
+RANDOM_KINDS = {"obdd": _random_obdd, "nobdd": _random_nobdd, "pobdd": _random_pobdd,
+                "quantum": _random_quantum}
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_verdicts_match_the_per_order_loop_on_random_programs(kind):
+    rng = np.random.default_rng(sorted(RANDOM_KINDS).index(kind))
+    verdicts = []
+    for case in range(75):
+        program = RANDOM_KINDS[kind](rng)
+        trials, seed = (50, 200)[case % 2], int(rng.integers(0, 1000))
+        verdict = is_commutative(program, trials=trials, seed=seed)
+        assert verdict == _reference_is_commutative(program, trials, seed), case
+        if case < 10:
+            perms = [program.order.perm] + sample_orders(program.n, 8, seed)
+            _assert_profiles_match(program, perms)
+        verdicts.append(verdict)
+    assert 10 <= sum(verdicts) <= 65
+
+
+# --------------------------------------------------------------------------
+# memory: a chunk spans at most _CHUNK_ROWS (order, input) rows
+
+
+@pytest.mark.parametrize("spec, trials", [("eq-pobdd:8", 200), ("eq-pobdd:12", 4),
+                                          ("or-nobdd:12", 200)])
+def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
+    program = parse_program_spec(spec)
+    padded = _padded(program)
+    state_bytes = _CHUNK_ROWS * width(program) * padded._first(1).dtype.itemsize
+    operator_bytes = sum(op.nbytes for pair in padded.steps for op in pair)
+    assert is_commutative(program, trials=1)   # fills the input-table caches
+    tracemalloc.start()
+    try:
+        assert is_commutative(program, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * state_bytes + operator_bytes

@@ -90,6 +90,17 @@ def test_nobdd_successors_must_be_node_indexes():
             build(rows)
 
 
+def test_nobdd_rows_must_be_successor_pairs():
+    def build(rows):
+        return Nobdd(n=1, k=1, order=VarOrder.identity(1), widths=[1, 2], start=0,
+                     steps=[rows], accepting=[1])
+
+    # one successor set, three successor sets, and a row of scalars
+    for rows in ([((0,),)], [((0,), (1,), (0,))], [(0, 1)], [0]):
+        with pytest.raises(ShapeError):
+            build(rows)
+
+
 def test_eval_pobdd_acceptance():
     prog = eq_geometric_pobdd(2)
     acc = acceptance_table(prog)
