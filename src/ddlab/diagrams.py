@@ -21,12 +21,16 @@ the bounded-error check call it. The per-input evaluators (`eval_obdd`,
 `eval_nobdd`, `eval_pobdd` and `quantum.accept_probability`) share
 `_evaluate`, the plain per-level loop that the batch route is tested against.
 
-The commutativity check runs a chunk of sampled orders at once over a prefix
-trie (`_permuted_profile`): in the first layer an order's state after ell
-levels has only the 2**ell rows of the bits read so far, and each level
-gathers, per order, its variable's operators from a per-layer stack. A chunk
-spans at most `_CHUNK_ROWS` (order, input) rows; the check returns False
-after the first chunk in which an order differs.
+The commutativity check has two routes. The certificate
+(`_commutes_pairwise`) comes first: within each layer, the operators of every
+two distinct variables must commute, which takes O(k*n**2) operator products
+and no 2**n table. A program that fails it goes to the sampled route, which
+runs a chunk of sampled orders at once over a prefix trie
+(`_permuted_profile`): in the first layer an order's state after ell levels
+has only the 2**ell rows of the bits read so far, and each level gathers, per
+order, its variable's operators from a per-layer stack. A chunk spans at most
+`_CHUNK_ROWS` (order, input) rows; the check returns False after the first
+chunk in which an order differs.
 
 Conventions:
   * `layer_ends` is an optional per-layer endomap applied to the node reached
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -298,6 +303,26 @@ class Nobdd(LeveledProgram):
     def __init__(self, n, k, order, widths, start, steps, accepting, layer_ends=None):
         self._init_levels(n, k, order, widths, start, steps, layer_ends)
         self.accepting = self._norm_accepting(accepting)
+
+    def _act(self, states, op):
+        # numpy's boolean matmul has no BLAS kernel. The float sums are
+        # integers below 2**53, so the product is exact. It runs one operator
+        # at a time on blocks of _CHUNK_ROWS / 16 rows, so its float copies
+        # fit in the memory of one chunk of boolean states.
+        batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
+        states = np.broadcast_to(states, batch + states.shape[-2:])
+        op = np.broadcast_to(op, batch + op.shape[-2:])
+        out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
+        block = _CHUNK_ROWS >> 4
+        for i in np.ndindex(batch):
+            mat = op[i].astype(np.float64)
+            for lo in range(0, states.shape[-2], block):
+                rows = states[i][lo: lo + block].astype(np.float64)
+                np.greater(rows @ mat, 0, out=out[i][lo: lo + block])
+        return out
+
+    def _act_one(self, state, op):
+        return state @ op
 
     def _pack_level(self, ell, level, w, w_next):
         mats = np.zeros((2, w, w_next), dtype=bool)
@@ -574,25 +599,54 @@ def _orders(n, trials, seed):
         yield tuple(perm)
 
 
+def _commutes_pairwise(padded, tol):
+    """The certificate: True when, within every layer, the operators of every
+    two distinct variables commute (exactly for index maps and boolean
+    relations, within `tol` entrywise for stochastic and unitary matrices).
+    Then every order composes each layer's operators to the same product, so
+    the output on every input is that of the program's own order. Each
+    operator acts, with the kind's `_act`, on the basis states (the identity
+    operator); one pair of variables is compared at a time."""
+    n, w = padded.n, padded.widths[0]
+    basis = padded._map_op(np.arange(w), w)
+    for j in range(padded.k):
+        pairs = [padded._pair(j * n + p) for p in range(n)]
+        images = [np.stack([padded._act(basis, op) for op in pair]) for pair in pairs]
+        for a, b in itertools.combinations(range(n), 2):
+            a_first = np.stack([padded._act(images[a], op) for op in pairs[b]])
+            b_first = np.stack([padded._act(images[b], op) for op in pairs[a]]).swapaxes(0, 1)
+            if a_first.dtype.kind in "bi":
+                if not np.array_equal(a_first, b_first):
+                    return False
+            elif np.any(np.abs(a_first - b_first) > tol):
+                return False
+    return True
+
+
 def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limits.TOL):
     """True iff reading the variables in any order, each with its own
     operators, leaves the output on every input unchanged (within `tol` for
     acceptance probabilities). Works for every program kind.
 
-    `sample_orders` gives the orders tried. Functional equality is checked on
-    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP), on the copy padded to the
-    widest level (`_padded`). Its padding rows go to node 0, so a program
-    with unequal level widths may be called non-commutative even though it
-    is order-independent.
+    Both routes run on the copy padded to the widest level (`_padded`). The
+    certificate (`_commutes_pairwise`) comes first: if, within each layer,
+    the operators of every two variables commute, the answer is True, for
+    any n and without a 2**n table. Otherwise the sampled check decides:
+    `sample_orders` gives the orders tried, and functional equality is
+    checked on all 2**n inputs (n <= limits.COMMUTATIVITY_CAP). The padding
+    rows go to node 0, so a program with unequal level widths may be called
+    non-commutative even though it is order-independent.
 
-    The own order and the sampled ones are drawn and run in chunks of at most
-    max(1, _CHUNK_ROWS >> n) orders, the memory of one `propagate` chunk: up
-    to three in the first, then at most three times all before, so an early
-    difference is found after little work.
+    The sampled check draws and runs the own order and the sampled ones in
+    chunks of at most max(1, _CHUNK_ROWS >> n) orders, the memory of one
+    `propagate` chunk: up to three in the first, then at most three times
+    all before, so an early difference is found after little work.
     """
     n = program.n
-    limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     padded = _padded(program)
+    if _commutes_pairwise(padded, tol):
+        return True
+    limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     orders = itertools.chain([program.order.perm], _orders(n, trials, seed))
     budget, done = max(1, _CHUNK_ROWS >> n), 0
     while chunk := list(itertools.islice(orders, min(budget, 3 * max(done, 1)))):

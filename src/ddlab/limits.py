@@ -18,7 +18,7 @@ SAMPLE_CAP = 1 << TABLE_CAP   # most seeded input samples drawn at once: one ful
 STORAGE_CAP = 24              # largest n of a stored BoolFn or PartialBoolFn table
 DP_CAP = 16                   # largest n of the exact-width search
 ENUM_CAP = 8                  # largest n of the n! enumeration cross-check
-COMMUTATIVITY_CAP = 12        # largest n of the commutativity check
+COMMUTATIVITY_CAP = 12        # largest n of the sampled commutativity check
 QUANTUM_COMMUTATIVITY_CAP = 10  # the same for `is_commutative_quantum`
 PROGRAM_CAP = 1 << 26         # most entries in a program's packed operators
 

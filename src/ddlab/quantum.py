@@ -262,8 +262,9 @@ def reorder_quantum(program, order2):
 
 def is_commutative_quantum(program, trials=limits.QUANTUM_ORDERS, seed=0, tol=limits.TOL):
     """`diagrams.is_commutative` under the quantum cap
-    limits.QUANTUM_COMMUTATIVITY_CAP: True iff every sampled reordering leaves
-    the acceptance profile unchanged on all 2**n inputs within tol."""
+    limits.QUANTUM_COMMUTATIVITY_CAP, which holds for both of its routes: True
+    iff the pairwise certificate holds or every sampled reordering leaves the
+    acceptance profile unchanged on all 2**n inputs within tol."""
     limits.check(program.n, limits.QUANTUM_COMMUTATIVITY_CAP, "n of the quantum commutativity check")
     return is_commutative(program, trials=trials, seed=seed, tol=tol)
 

@@ -213,8 +213,11 @@ def _lift_address_maps(layout, mode):
 def lift(program, layout, mode):
     """The reordering lift of a commutative base program of any kind over
     `layout` (the quantum kind in xor mode only). Refuses a base that fails
-    the commutativity check, which samples limits.LIFT_ORDERS orders
-    (limits.QUANTUM_ORDERS for a quantum base)."""
+    the commutativity check: a base whose operators of distinct variables
+    commute pairwise within each layer passes at any n, and any other base is
+    checked on all 2**n inputs under limits.LIFT_ORDERS sampled orders
+    (limits.QUANTUM_ORDERS for a quantum base), which needs n <=
+    limits.COMMUTATIVITY_CAP."""
     _check_mode(mode)
     if program.n != layout.q:
         raise ShapeError(

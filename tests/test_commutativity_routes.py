@@ -1,12 +1,14 @@
-"""The batched commutativity route against the per-order reference loop.
+"""Both commutativity routes against the per-order reference loop.
 
+`is_commutative` first tries the pairwise-commutation certificate
+(`diagrams._commutes_pairwise`); when it fails, the sampled route runs:
 `diagrams._permuted_profile` propagates a chunk of variable orders together,
-and `is_commutative` compares each chunk with the program's own order. The
-reference below runs one order at a time: every input goes through the
-padded program's levels in that order with the kind's own `_step`, and the
-layer-end maps stay pinned at layer boundaries. Both routes must give the
-same outputs, exactly for 0/1 outputs and within 1e-12 for acceptance
-probabilities, and the same verdicts.
+and each chunk is compared with the program's own order. The reference below
+runs one order at a time: every input goes through the padded program's
+levels in that order with the kind's own `_step`, and the layer-end maps
+stay pinned at layer boundaries. Both routes must give the same outputs,
+exactly for 0/1 outputs and within 1e-12 for acceptance probabilities, and
+the same verdicts; a certified program must be commutative by the reference.
 """
 import tracemalloc
 
@@ -15,14 +17,22 @@ import pytest
 
 from ddlab import limits
 from ddlab.boolfn import VarOrder
-from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs, _padded,
-                            _permuted_profile, is_commutative, sample_orders, width)
+from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs,
+                            _commutes_pairwise, _padded, _permuted_profile, embed_obdd_as_nobdd,
+                            is_commutative, sample_orders, width)
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram
 
 PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qobdd:3,5",
                  "eq-qobdd-recombined:8", "pj-2k:1,2", "pj-2k:2,2", "pj-2k:3,2",
                  "rpj-core:1,2", "rpj-core:2,2", "tree:eq:4", "tree:eq:6"]
+
+# the zoo programs that the certificate decides; the clamped accumulators
+# eq-obdd and eq-pobdd, rpj-2k and the binary trees fail it and take the
+# sampled route
+CERTIFIED = {"or-nobdd:4", "or-nobdd:8", "or-nobdd:12", "eq-qobdd:4", "modp-qobdd:3,5",
+             "eq-qobdd-recombined:8", "pj-2k:1,2", "pj-2k:2,2", "pj-2k:3,2", "rpj-core:1,2",
+             "rpj-core:2,2"}
 
 
 def _reference_profile(padded, perm):
@@ -46,6 +56,13 @@ def _reference_is_commutative(program, trials, seed, tol=limits.TOL):
                for perm in sample_orders(program.n, trials, seed))
 
 
+def _certified(program, trials=50, seed=0):
+    """The certificate's verdict; a certified program must be commutative by the reference."""
+    certified = _commutes_pairwise(_padded(program), limits.TOL)
+    if certified:
+        assert _reference_is_commutative(program, trials, seed)
+    return certified
+
 def _assert_profiles_match(program, perms):
     padded = _padded(program)
     batched = _permuted_profile(padded, perms)
@@ -64,6 +81,13 @@ def test_batched_profiles_match_the_per_order_loop(spec):
     _assert_profiles_match(program, perms)
     _assert_profiles_match(program, perms[-1:])
 
+
+@pytest.mark.parametrize("spec", PROGRAM_SPECS + ["or-nobdd:8", "eq-obdd:8", "eq-pobdd:8",
+                                                  "rpj-2k:1,2"])
+def test_which_zoo_programs_the_certificate_decides(spec):
+    program = parse_program_spec(spec)
+    assert _certified(program) == (spec in CERTIFIED)
+    assert is_commutative(program, trials=50) == (not spec.startswith(("tree", "rpj-2k")))
 
 # --------------------------------------------------------------------------
 # seeded random programs of every kind: n <= 7, k <= 2, mixed level widths
@@ -189,30 +213,38 @@ RANDOM_KINDS = {"obdd": _random_obdd, "nobdd": _random_nobdd, "pobdd": _random_p
 @pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
 def test_verdicts_match_the_per_order_loop_on_random_programs(kind):
     rng = np.random.default_rng(sorted(RANDOM_KINDS).index(kind))
-    verdicts = []
+    verdicts, certified = [], []
     for case in range(75):
         program = RANDOM_KINDS[kind](rng)
         trials, seed = (50, 200)[case % 2], int(rng.integers(0, 1000))
         verdict = is_commutative(program, trials=trials, seed=seed)
         assert verdict == _reference_is_commutative(program, trials, seed), case
+        certified.append(_certified(program, trials, seed))
         if case < 10:
             perms = [program.order.perm] + sample_orders(program.n, 8, seed)
             _assert_profiles_match(program, perms)
         verdicts.append(verdict)
     assert 10 <= sum(verdicts) <= 65
+    assert 10 <= sum(certified) <= 65   # both routes decide cases of every kind
 
 
 # --------------------------------------------------------------------------
 # memory: a chunk spans at most _CHUNK_ROWS (order, input) rows
 
 
+# eq-obdd:12 embedded as an Nobdd is a clamped accumulator: it fails the
+# certificate, so the nobdd fallback runs; or-nobdd:12 and pj-2k:3,2 certify
 @pytest.mark.parametrize("spec, trials", [("eq-pobdd:8", 200), ("eq-pobdd:12", 4),
-                                          ("or-nobdd:12", 200)])
+                                          ("eq-obdd:12 as nobdd", 200), ("or-nobdd:12", 200),
+                                          ("pj-2k:3,2", 200)])
 def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
-    program = parse_program_spec(spec)
+    program = parse_program_spec(spec.split()[0])
+    if spec.endswith("as nobdd"):
+        program = embed_obdd_as_nobdd(program)
     padded = _padded(program)
     state_bytes = _CHUNK_ROWS * width(program) * padded._first(1).dtype.itemsize
     operator_bytes = sum(op.nbytes for pair in padded.steps for op in pair)
+    assert _commutes_pairwise(padded, limits.TOL) == (spec in CERTIFIED)
     assert is_commutative(program, trials=1)   # fills the input-table caches
     tracemalloc.start()
     try:

@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
+from ddlab import diagrams, limits
 from ddlab.boolfn import BoolFn, VarOrder
-from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, build_binary_tree_obdd,
-                            embed_obdd_as_nobdd, embed_obdd_as_pobdd, eval_nobdd, eval_obdd,
-                            eval_pobdd, function_of, is_commutative, sample_orders, size,
-                            to_text, width)
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _commutes_pairwise, acceptance_table,
+                            build_binary_tree_obdd, embed_obdd_as_nobdd, embed_obdd_as_pobdd,
+                            eval_nobdd, eval_obdd, eval_pobdd, function_of, is_commutative,
+                            sample_orders, size, to_text, width)
 from ddlab.errors import CapacityError, DependencyError, ShapeError, StructuralError
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram
+from ddlab.reorder import BlockLayout, reorder_nobdd
 from ddlab.zoo import eq, eq_geometric_pobdd, eq_weighted_obdd, or_guess_nobdd, ws_b
 
 
@@ -174,12 +176,28 @@ def test_is_commutative_positive_and_negative():
 
 
 def test_is_commutative_capacity():
+    # bit 1 sets node 1 on odd levels and node 0 on even ones: two such maps
+    # do not commute, so the sampled check, capped at n = 12, has to decide
     prog = LeveledObdd(
-        n=13, k=1, order=VarOrder.identity(13), widths=[1] * 14, start=0,
-        steps=[[(0, 0)] for _ in range(13)], sink_values=[1],
+        n=13, k=1, order=VarOrder.identity(13), widths=[2] * 14, start=0,
+        steps=[[(s, 1 - ell % 2) for s in range(2)] for ell in range(13)], sink_values=[0, 1],
     )
+    assert not _commutes_pairwise(prog, limits.TOL)
     with pytest.raises(CapacityError):
         is_commutative(prog)
+
+
+def test_a_certified_program_needs_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certified route built a 2**n table")
+
+    monkeypatch.setattr(diagrams, "_all_inputs", refuse)
+    monkeypatch.setattr(diagrams, "_permuted_profile", refuse)
+    prog = or_guess_nobdd(16)
+    assert prog.n == 16 > limits.COMMUTATIVITY_CAP
+    assert is_commutative(prog)
+    lifted = reorder_nobdd(prog, BlockLayout(16), "direct")   # the lift's gate passes too
+    assert (lifted.n, width(lifted)) == (80, 16 * width(prog))
 
 
 def test_sample_orders_deterministic_and_exhaustive():
