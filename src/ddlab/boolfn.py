@@ -14,7 +14,8 @@ defined mask is zero.
 from __future__ import annotations
 
 import heapq
-from itertools import permutations
+from itertools import chain, islice, permutations
+from math import factorial
 
 import numpy as np
 
@@ -403,7 +404,10 @@ def n_min(f, strategy="auto"):
 
     Strategies: "auto" runs the lazy best-first bottleneck search below (total
     and partial functions alike); "enum" forces the n! enumeration (n <= limits.ENUM_CAP),
-    used as a cross-check.
+    used as a cross-check. The enumeration costs each of the 2**n - 2 proper
+    non-empty prefix sets once with `_count_for_varset`, independently of the
+    search's cofactor rows, and then takes the width of every order from that
+    table, a block of (n-1)! orders at a time.
 
     The search is the Friedman & Supowit subset DP (IEEE Trans. Computers
     39(5), 1990) evaluated lazily. A node is a prefix set S of variables; its
@@ -427,20 +431,21 @@ def n_min(f, strategy="auto"):
         return 1
     if strategy == "enum":
         require_enumerable(f)
-        memo = {}
-
-        def cost(left):
-            key = frozenset(left)
-            if key not in memo:
-                memo[key] = _count_for_varset(f, left)
-            return memo[key]
-
-        best = None
-        for perm in permutations(range(1, n + 1)):
-            worst = max(cost(perm[:u]) for u in range(1, n))
-            if best is None or worst < best:
-                best = worst
-        return best
+        # One cost per proper prefix set, indexed by mask (bit n - v for x_v).
+        table = np.zeros(1 << n, dtype=np.int32)
+        for mask in range(1, (1 << n) - 1):
+            table[mask] = _count_for_varset(f, [v for v in range(1, n + 1) if mask >> (n - v) & 1])
+        # Then the width of every order. permutations() yields them in blocks of
+        # (n-1)! that share a first variable.
+        bits = np.array([0] + [1 << (n - v) for v in range(1, n + 1)], dtype=np.uint16)
+        block = factorial(n - 1)
+        orders = permutations(range(1, n + 1))
+        best = []
+        for _ in range(n):
+            perms = np.fromiter(chain.from_iterable(islice(orders, block)), np.uint8, block * n)
+            prefixes = np.cumsum(bits[perms.reshape(block, n)[:, :-1]], axis=1, dtype=np.uint16)
+            best.append(int(table[prefixes].max(axis=1).min()))
+        return min(best)
     limits.check(n, limits.DP_CAP, "n of the min-width search")
     if isinstance(f, BoolFn):
         return _bottleneck_search((f.table,), n, lambda rows, floor: rows.shape[0])

@@ -1,16 +1,19 @@
 """Truth-table core: orders, partitions, functions, subfunction counts, widths."""
 import heapq
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlab import boolfn
 from ddlab.boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, _count_for_varset,
                           evaluate, n_min, n_pi, restrict, subfunction_count)
 from ddlab.errors import CapacityError, ShapeError
 from ddlab.kernels import all_subset_costs
-from ddlab.zoo import eq, mod_p
+from ddlab.zoo import eq, mod_p, ws
 
 
 def _bottleneck_dp(costs, n):
@@ -194,6 +197,52 @@ def test_n_min_partial_dp_matches_enumeration(n, density, rnd):
     assert n_min(fp, strategy="auto") == n_min(fp, strategy="enum")
 
 
+def test_n_min_enumeration_matches_its_definition():
+    # the literal minimum over all n! orders of n_pi, for total and partial functions
+    rng = np.random.default_rng(97)
+    for n in range(1, 7):
+        for density in (0.5, 0.1):
+            f = BoolFn(n, (rng.random(1 << n) < density).astype(np.uint8))
+            defined = (rng.random(1 << n) < 1.5 * density).astype(np.uint8)
+            fp = PartialBoolFn(n, defined, rng.integers(0, 2, size=1 << n))
+            for g in (f, fp):
+                literal = min(n_pi(g, VarOrder(p)) for p in permutations(range(1, n + 1)))
+                assert n_min(g, strategy="enum") == literal
+    assert n_min(ws(8), strategy="enum") == 19
+    assert n_min(eq(8), strategy="enum") == 3
+    assert n_min(mod_p(5, 8), strategy="enum") == 5
+
+
+def test_n_min_enumeration_scores_orders_in_blocks():
+    # all 40,320 orders at once would take ~2.6 MB as one int64 array
+    f = ws(8)
+    n_min(ws(3), strategy="enum")   # numpy's lazy imports stay outside the trace
+    tracemalloc.start()
+    try:
+        n_min(f, strategy="enum")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def test_n_min_enumeration_costs_each_proper_prefix_set_once(monkeypatch):
+    costed = []
+
+    def counting(f, left_vars):
+        costed.append(frozenset(left_vars))
+        return _count_for_varset(f, left_vars)
+
+    monkeypatch.setattr(boolfn, "_count_for_varset", counting)
+    rng = np.random.default_rng(5)
+    fp = PartialBoolFn(5, (rng.random(32) < 0.5).astype(np.uint8), rng.integers(0, 2, size=32))
+    for f, n in ((ws(8), 8), (fp, 5)):
+        costed.clear()
+        n_min(f, strategy="enum")
+        assert len(costed) == len(set(costed)) == (1 << n) - 2
+        assert all(0 < len(left) < n for left in costed)
+
+
 @pytest.mark.parametrize("n", (9, 10, 11))
 def test_n_min_matches_the_lattice_dp_beyond_enumeration(n):
     rng = np.random.default_rng(900 + n)
@@ -228,11 +277,16 @@ def test_total_embedding_matches_function():
         subfunction_count(f, Partition(VarOrder.identity(3), 1))
 
 
-def test_capacity_caps():
+def test_capacity_caps(monkeypatch):
     with pytest.raises(CapacityError):
         BoolFn(25, np.zeros(1 << 25, dtype=np.uint8))
     with pytest.raises(CapacityError):
         BoolFn.from_hex(40, "0")   # refused before the 2**40-bit table is decoded
     f = BoolFn.from_callable(9, lambda x: x[0])
+
+    def refuse(f, left_vars):
+        raise AssertionError("a subset was costed before the enumeration cap")
+
+    monkeypatch.setattr(boolfn, "_count_for_varset", refuse)
     with pytest.raises(CapacityError):
         n_min(f, strategy="enum")
