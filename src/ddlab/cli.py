@@ -124,14 +124,19 @@ def _cmd_verify(args):
 
 
 def _cmd_suite(args):
-    reports = run_suite(args.suite_id, seed=args.seed)
-    text = report_emit(reports, args.format, args.with_duration)
+    # the output file is opened first, so that an unwritable path fails before the suite runs
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (args.out, exc)) from None
+    try:
+        reports = run_suite(args.suite_id, seed=args.seed)
+        out.write(report_emit(reports, args.format, args.with_duration))
+    finally:
+        if args.out:
+            out.close()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print("wrote %d reports to %s" % (len(reports), args.out))
-    else:
-        sys.stdout.write(text)
     failed = [r.spec.check_id for r in reports if not r.passed]
     if failed:
         print("FAILED: %s" % ", ".join(str(c) for c in failed), file=sys.stderr)

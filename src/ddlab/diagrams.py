@@ -15,11 +15,13 @@ packed and acts on the state, and in how the last state is read out:
   QuantumProgram  unitary (dim, dim)         amplitudes     accepting |amp|^2
                   (quantum.py; one pair per variable, repeated each layer)
 
-`propagate` runs a batch of inputs, a (B, n) bit matrix, through the levels;
-a truth table is the batch of all 2**n inputs. Every whole-table routine and
-the bounded-error check call it. The per-input evaluators (`eval_obdd`,
-`eval_nobdd`, `eval_pobdd` and `quantum.accept_probability`) share
-`_evaluate`, the plain per-level loop that the batch route is tested against.
+`_whole_table` gives the output on all 2**n inputs from one prefix-trie pass
+in the program's own order; every whole-table routine and the exhaustive
+bounded-error check use it. `propagate` runs a given batch of inputs, a
+(B, n) bit matrix, through the levels, for the sampled checks. The per-input
+evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
+`quantum.accept_probability`) share `_evaluate`, the plain per-level loop
+that both batch routes are tested against.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -55,7 +57,7 @@ from . import limits
 from .boolfn import BoolFn, VarOrder
 from .errors import DependencyError, ShapeError, StructuralError
 
-_CHUNK_ROWS = 4096     # inputs propagated together
+_CHUNK_ROWS = 4096     # inputs propagated together, state rows of a table computed at once
 
 
 def _norm_order(order, n):
@@ -473,25 +475,66 @@ def propagate(program, bits):
     return np.concatenate(out)
 
 
+def _in_table_order(outputs, perms):
+    """Outputs of the orders `perms` (rows of 0-based variables), in which
+    bit ell of order t's row number is the bit read at level ell, as one row
+    per order in truth-table order."""
+    t, n = perms.shape
+    # order t's output on input i: flat index t * 2**n + sum(2**level(v) for v set in i)
+    weight, h = 1 << np.argsort(perms, axis=1), n // 2
+    high = (_all_inputs(h) @ weight[:, :h].T).T + (np.arange(t) << n)[:, None]
+    low = _all_inputs(n - h) @ weight[:, h:].T
+    return outputs.ravel()[(high[:, :, None] + low.T[:, None, :]).reshape(t, -1)]
+
+
+def _whole_table(program):
+    """Output of any program kind on every input, in truth-table order: what
+    `propagate` gives on all 2**n inputs, from one prefix-trie pass in the
+    program's own order. Bit ell of a state's row number is the bit read at
+    level ell of a layer, as in `_permuted_profile`. The first layer's first
+    c = log2(_CHUNK_ROWS) levels map the trie through both operators, with
+    the new bit on top; the bits read at later levels are fixed per block of
+    2**c rows, so at most _CHUNK_ROWS state rows are computed at a time."""
+    n = program.n
+    limits.check(n, limits.TABLE_CAP, "n of a 2**n table")
+    c = min(n, _CHUNK_ROWS.bit_length() - 1)
+    prefix = program._first(1)
+    for ell in range(c):
+        prefix = np.concatenate([program._act(prefix, op) for op in program._pair(ell)])
+    out = []
+    for block in range(1 << (n - c)):
+        states = prefix
+        for ell in range(program.k * n):
+            pos, pair = ell % n, program._pair(ell)
+            if pos >= c:
+                states = program._act(states, pair[block >> (pos - c) & 1])
+            elif ell >= n:
+                halves = states.reshape((-1, 2) + states.shape[1:])
+                states = np.concatenate([program._act(halves[:, b], pair[b]) for b in (0, 1)])
+            if pos == n - 1 and program.layer_ends[ell // n] is not None:
+                states = program._end(states, program.layer_ends[ell // n])
+        out.append(program._readout(states))
+    return _in_table_order(np.concatenate(out), np.array([program.order.perm]) - 1)[0]
+
+
 def rounded_table(program):
     """0/1 output of any program kind on every input; an acceptance
     probability above 1/2 rounds to 1, a tie to 0."""
-    return (propagate(program, _all_inputs(program.n)) > 0.5).astype(np.uint8)
+    return (_whole_table(program) > 0.5).astype(np.uint8)
 
 
 def function_of(program):
     """Truth table computed by a deterministic or nondeterministic program."""
-    bits = _all_inputs(program.n)
     if not isinstance(program, (LeveledObdd, Nobdd)):
         raise ShapeError("function_of expects a deterministic or nondeterministic program")
-    return BoolFn(program.n, propagate(program, bits))
+    return BoolFn(program.n, _whole_table(program))
 
 
 def acceptance_table(program):
     """Acceptance probability of a Pobdd on every input."""
     if not isinstance(program, Pobdd):
         raise ShapeError("acceptance_table expects a probabilistic program")
-    return propagate(program, _all_inputs(program.n))
+    return _whole_table(program)
 
 
 def build_binary_tree_obdd(f, live=None):
@@ -559,11 +602,6 @@ def _permuted_profile(padded, perms):
     read bit 0 and rotate it to the top, back in place at each layer end."""
     n, perms = padded.n, np.asarray(perms, dtype=np.int64) - 1
     t = perms.shape[0]
-    # order t's output on input i: flat index t * 2**n + sum(2**level(v) for v set in i)
-    weight, h = 1 << np.argsort(perms, axis=1), n // 2
-    high = (_all_inputs(h) @ weight[:, :h].T).T + (np.arange(t) << n)[:, None]
-    low = _all_inputs(n - h) @ weight[:, h:].T
-    rows = (high[:, :, None] + low.T[:, None, :]).reshape(t, -1)
     position = sorted(range(n), key=padded.order.perm.__getitem__)
     states = padded._first(t)[:, None]
     rest = states.shape[2:]
@@ -579,7 +617,7 @@ def _permuted_profile(padded, perms):
                 states = stack[var].ravel()[view + offsets].reshape(t, -1)
         if padded.layer_ends[j] is not None:
             states = padded._end(states, padded.layer_ends[j])
-    return padded._readout(states).ravel()[rows]
+    return _in_table_order(padded._readout(states), perms)
 
 
 def sample_orders(n, trials, seed):

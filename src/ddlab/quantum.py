@@ -5,9 +5,9 @@ and the quantum commutativity cap.
 
 A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
 matrix acting on a column of amplitudes, so it runs on the same engine as the
-classical kinds: `diagrams.propagate` for batches and `diagrams._evaluate`
-for one input. Batches apply `states[rows] @ g.T` in chunks of
-`diagrams._CHUNK_ROWS` rows; one input applies `g @ state`.
+classical kinds: `diagrams._whole_table` for every input, `diagrams.propagate`
+for a given batch and `diagrams._evaluate` for one input. A batch of row
+states is multiplied by `g.T`; one input applies `g @ state`.
 
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import limits
 from .boolfn import BoolFn, PartialBoolFn, VarOrder
-from .diagrams import LeveledProgram, _evaluate, _norm_order, index_bits, is_commutative, propagate
+from .diagrams import (LeveledProgram, _evaluate, _norm_order, _whole_table, index_bits,
+                       is_commutative, propagate)
 from .errors import ShapeError, StructuralError
 
 
@@ -161,7 +162,7 @@ def _acceptance_for_inputs(program, idx):
 
 def acceptance_table(program):
     """Acceptance probability on every input, index = bin(x_1..x_n)."""
-    return _acceptance_for_inputs(program, limits.table_indexes(program.n))
+    return _whole_table(program).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -216,13 +217,13 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     if f.n != n:
         raise ShapeError("target arity does not match program arity")
     if samples is None:
-        idx = limits.table_indexes(n)
+        table, idx = acceptance_table(program), limits.table_indexes(n)
     else:
         limits.check(int(samples), limits.SAMPLE_CAP, "the sample count")
         idx = np.random.default_rng(seed).integers(0, 1 << n, size=int(samples), dtype=np.int64)
     if isinstance(f, PartialBoolFn):
         idx = idx[f.defined[idx] == 1]
-    probs = _acceptance_for_inputs(program, idx)
+    probs = table[idx] if samples is None else _acceptance_for_inputs(program, idx)
     vals = (f.values if isinstance(f, PartialBoolFn) else f.table)[idx]
     ones = probs[vals == 1]
     zeros = probs[vals == 0]

@@ -168,6 +168,7 @@ def _sweep_commands(tmp_path):
     yield ["verify", "reject-noncommutative-obdd"]
     yield ["suite", "negative", "--out", str(saved)]
     yield ["report", str(saved)]
+    yield ["suite", "quick", "--out", str(tmp_path / "missing" / "quick.json")]
     yield ["report", str(tmp_path / "missing.json")]
     yield ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"]
     yield ["verify", "reqb-padding-flips", "--seed", "-1"]
@@ -257,6 +258,17 @@ def test_suite_output_and_report_round_trip(tmp_path, capsys):
     assert json.loads(out) == json.loads(path.read_text())
     rc, out, _ = run_cli(capsys, "report", str(path), "--format", "csv")
     assert rc == 0 and out.startswith("check_id,")
+
+
+def test_suite_output_to_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import ddlab.cli
+
+    ran = []
+    monkeypatch.setattr(ddlab.cli, "run_suite", lambda *args, **kwargs: ran.append(args) or [])
+    path = tmp_path / "missing" / "quick.json"
+    rc, out, err = run_cli(capsys, "suite", "quick", "--out", str(path))
+    assert rc == 2 and "usage error" in err and "Traceback" not in err
+    assert out == "" and ran == [] and not path.parent.exists()
 
 
 def test_report_detects_tampering(tmp_path, capsys):

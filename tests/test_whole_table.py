@@ -1,0 +1,125 @@
+"""The prefix-trie table against `propagate` on every input.
+
+`diagrams._whole_table` builds a program's whole truth table in one pass in
+its own order: the first layer's levels double a prefix trie of states, and
+the levels past log2(_CHUNK_ROWS) are fixed per block of rows. `propagate`
+runs a given batch of inputs through the levels. On the batch of all 2**n
+inputs both must give the same outputs: exactly for 0/1 outputs and within
+1e-12 for acceptance probabilities. The table must also stay within the
+memory of one chunk of state rows, and refuse an n above limits.TABLE_CAP
+before any operator acts.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from test_commutativity_routes import RANDOM_KINDS
+from test_dual_route import PROGRAM_SPECS
+
+from ddlab import diagrams, quantum
+from ddlab.boolfn import BoolFn
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table, propagate,
+                            rounded_table)
+from ddlab.errors import CapacityError
+from ddlab.experiments import _lift_program, parse_program_spec
+from ddlab.reorder import BlockLayout
+
+# (base, mode) of every lift kind at q = 2 and 4; quantum lifts are xor-only
+LIFTS = ([("%s:%d" % (base, q), mode) for q in (2, 4)
+          for base in ("eq-obdd", "or-nobdd", "eq-pobdd") for mode in ("direct", "xor")]
+         + [("eq-qobdd:%d" % q, "xor") for q in (2, 4)]
+         + [("rpj-core:1,2", mode) for mode in ("direct", "xor")])
+
+
+def _assert_table_matches_propagate(program):
+    table = _whole_table(program)
+    reference = propagate(program, _all_inputs(program.n))
+    assert table.shape == reference.shape == (1 << program.n,)
+    if isinstance(program, (LeveledObdd, Nobdd)):
+        assert table.dtype == reference.dtype and np.array_equal(table, reference)
+    else:
+        np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", PROGRAM_SPECS + ["pj-2k:3,2", "rpj-2k:1,2", "tree:eq:6",
+                                                  "modp-qobdd:13,13"])
+def test_table_matches_propagate_on_programs(spec):
+    _assert_table_matches_propagate(parse_program_spec(spec))
+
+
+@pytest.mark.parametrize("spec, mode", LIFTS)
+def test_table_matches_propagate_on_lifts(spec, mode):
+    base = parse_program_spec(spec)
+    _assert_table_matches_propagate(_lift_program(base, BlockLayout(base.n), mode))
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_table_matches_propagate_on_random_programs(kind):
+    # n <= 7, k <= 2, mixed level widths except for the quantum kind
+    rng = np.random.default_rng(100 + sorted(RANDOM_KINDS).index(kind))
+    for _ in range(40):
+        _assert_table_matches_propagate(RANDOM_KINDS[kind](rng))
+
+
+# --------------------------------------------------------------------------
+# memory: at most _CHUNK_ROWS state rows at a time; the cap comes first
+
+
+def _n12_programs():
+    layout = BlockLayout(4)
+    lifts = [_lift_program(parse_program_spec(spec), layout, mode)
+             for spec, mode in [("eq-obdd:4", "xor"), ("or-nobdd:4", "direct"),
+                                ("eq-pobdd:4", "xor"), ("eq-qobdd:4", "xor")]]
+    return lifts + [parse_program_spec("rpj-2k:1,2")]
+
+
+def test_table_in_blocks_of_chunk_rows_matches_and_stays_within_the_budget(monkeypatch):
+    programs = _n12_programs()
+    whole = [_whole_table(p) for p in programs]
+    monkeypatch.setattr(diagrams, "_CHUNK_ROWS", 64)
+    for program, expected in zip(programs, whole):
+        assert program.n == 12
+        state_bytes = 64 * program._first(1).nbytes
+        operator_bytes = sum(op.nbytes for pair in program.steps for op in pair)
+        index_bytes = 8 << program.n   # the gather into truth-table order
+        tracemalloc.start()
+        try:
+            table = _whole_table(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, expected)
+        assert peak <= 4 * state_bytes + operator_bytes + 4 * index_bytes
+
+
+@pytest.fixture(scope="module")
+def q8_lifts():
+    layout = BlockLayout(8)
+    return [_lift_program(parse_program_spec(spec), layout, mode)
+            for spec, mode in [("eq-obdd:8", "xor"), ("or-nobdd:8", "direct"),
+                               ("eq-pobdd:8", "xor"), ("eq-qobdd:8", "xor")]]
+
+
+def _table_routines(program):
+    # a stand-in target of the lift's arity: no table of n = 32 can be stored
+    target = BoolFn.__new__(BoolFn)
+    target.n = program.n
+    routines = [rounded_table, quantum.acceptance_table,
+                lambda p: quantum.computes_with_bounded_error(p, target, 0.1)]
+    if isinstance(program, (LeveledObdd, Nobdd)):
+        routines.append(diagrams.function_of)
+    if isinstance(program, Pobdd):
+        routines.append(diagrams.acceptance_table)
+    return routines
+
+
+def test_every_table_routine_checks_the_cap_before_an_operator_acts(q8_lifts, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an operator acted above the table cap")
+
+    for program in q8_lifts:
+        assert program.n == 32
+        monkeypatch.setattr(type(program), "_act", refuse)
+        for routine in _table_routines(program):
+            with pytest.raises(CapacityError):
+                routine(program)
