@@ -21,7 +21,10 @@ bounded-error check use it. `propagate` runs a given batch of inputs, a
 (B, n) bit matrix, through the levels, for the sampled checks. The per-input
 evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
 `quantum.accept_probability`) share `_evaluate`, the plain per-level loop
-that both batch routes are tested against.
+that both batch routes are tested against. Its step (`_act_one`) touches only
+the live states: a stochastic step multiplies the rows of the nonzero entries
+and a boolean step takes the union of the reachable nodes' successor sets, so
+it costs what one input's state needs, not the whole operator.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -324,7 +327,7 @@ class Nobdd(LeveledProgram):
         return out
 
     def _act_one(self, state, op):
-        return state @ op
+        return op[state].any(axis=0)   # the successors of the reachable nodes
 
     def _pack_level(self, ell, level, w, w_next):
         mats = np.zeros((2, w, w_next), dtype=bool)
@@ -368,6 +371,10 @@ class Pobdd(LeveledProgram):
             raise StructuralError("level %d has a non-stochastic row" % ell)
         return mats[:, 0].copy(), mats[:, 1].copy()
 
+    def _act_one(self, state, op):
+        live = state.nonzero()[0]   # only the rows of nodes with mass contribute
+        return state[live] @ op[live]
+
     def _readout(self, states):
         return states[..., sorted(self.accepting)].sum(axis=-1)
 
@@ -393,7 +400,9 @@ def _input_bits(x, n):
 
 
 def _evaluate(program, x):
-    """The per-input reference route: one plain loop over the levels."""
+    """The per-input reference route: one plain loop over the levels. Each
+    step touches only the live states (`_act_one`): the rows of the nonzero
+    entries of a distribution, or the successors of the reachable nodes."""
     bits = _input_bits(x, program.n)
     n, perm = program.n, program.order.perm
     state = program._first()

@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ class QuantumProgram(LeveledProgram):
 
     def _act_one(self, state, g):
         state = g @ state
-        norm = float(np.linalg.norm(state))
+        norm = math.sqrt(np.vdot(state, state).real)
         if abs(norm - 1.0) > limits.TOL:
             raise StructuralError("state norm drifted to %.15g during the run" % norm)
         return state

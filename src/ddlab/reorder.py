@@ -229,11 +229,11 @@ def lift(program, layout, mode):
     q, w = layout.q, diagrams.width(program)
     limits.check_program(program.k * layout.n, q * w, program._MATRIX)
     orders = limits.QUANTUM_ORDERS if quantum else limits.LIFT_ORDERS
-    if not diagrams.is_commutative(program, trials=orders):
+    base = diagrams._padded(program)   # the gate pads the same way, so pad once for both
+    if not diagrams.is_commutative(base, trials=orders):
         raise CommutativityError(
             "base program failed the commutativity check; reordering is undefined for it"
         )
-    base = diagrams._padded(program)
     slot, node = np.divmod(np.arange(q * w), w)
     address = [tuple(base._map_op(m[slot] * w + node, q * w) for m in pair)
                for pair in _lift_address_maps(layout, mode)]

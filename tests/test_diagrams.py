@@ -113,6 +113,22 @@ def test_eval_pobdd_acceptance():
     assert eval_pobdd(prog, (0, 1)) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("support", [[], [3], [0, 2, 5], list(range(7))])
+def test_per_input_step_equals_the_dense_product(support):
+    # the per-input step touches only the live states; it must equal state @ op
+    rng = np.random.default_rng(len(support))
+    w, w_next = 7, 5
+    reached = np.zeros(w, dtype=bool)
+    reached[support] = True
+    relation = rng.random((w, w_next)) < 0.4
+    assert np.array_equal(or_guess_nobdd(2)._act_one(reached, relation), reached @ relation)
+    dist = np.where(reached, rng.random(w), 0.0)
+    stochastic = rng.random((w, w_next))
+    stochastic /= stochastic.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(eq_geometric_pobdd(2)._act_one(dist, stochastic),
+                               dist @ stochastic, rtol=0, atol=1e-15)
+
+
 def test_pobdd_rows_must_be_stochastic():
     good = np.array([0.5, 0.5])
     with pytest.raises(StructuralError):

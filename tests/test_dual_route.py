@@ -1,20 +1,21 @@
-"""Dual-route agreement: the per-input evaluators against the whole-table routines.
+"""Dual-route agreement: the per-input evaluators against the batch routines.
 
 The per-input route (`eval_obdd`, `eval_nobdd`, `eval_pobdd`,
 `accept_probability`) walks one input through the levels; the table route
-(`function_of`, both `acceptance_table`s) propagates every input at once. Both
-must agree on every input: exactly for 0/1 outputs and within 1e-12 for
-acceptance probabilities.
+(`function_of`, both `acceptance_table`s) propagates every input at once, and
+`propagate` runs a given batch where no table exists. The routes must agree on
+every input: exactly for 0/1 outputs and within 1e-12 for acceptance
+probabilities.
 """
 import numpy as np
 import pytest
 
 from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, eval_nobdd,
-                            eval_obdd, eval_pobdd, function_of)
+                            eval_obdd, eval_pobdd, function_of, propagate)
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram, accept_probability
 from ddlab.quantum import acceptance_table as quantum_acceptance_table
-from ddlab.reorder import (BlockLayout, reorder_nobdd, reorder_obdd, reorder_pobdd,
+from ddlab.reorder import (BlockLayout, lift, reorder_nobdd, reorder_obdd, reorder_pobdd,
                            xor_reorder_qobdd)
 
 PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qobdd:3,5",
@@ -30,21 +31,26 @@ def _inputs(n):
             for row in (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1]
 
 
-def _assert_routes_agree(program):
-    xs = _inputs(program.n)
-    if isinstance(program, QuantumProgram):
-        table = quantum_acceptance_table(program)
-        single = np.array([accept_probability(program, x) for x in xs])
-        np.testing.assert_allclose(single, table, rtol=0, atol=1e-12)
-    elif isinstance(program, Pobdd):
-        table = acceptance_table(program)
-        single = np.array([eval_pobdd(program, x) for x in xs])
-        np.testing.assert_allclose(single, table, rtol=0, atol=1e-12)
+def _assert_single_matches(program, xs, reference):
+    """The per-input evaluator of `program` on each of `xs` against a batch route's outputs."""
+    if isinstance(program, (Pobdd, QuantumProgram)):
+        evaluate = accept_probability if isinstance(program, QuantumProgram) else eval_pobdd
+        single = np.array([evaluate(program, x) for x in xs])
+        np.testing.assert_allclose(single, reference, rtol=0, atol=1e-12)
     else:
         evaluate = eval_obdd if isinstance(program, LeveledObdd) else eval_nobdd
         assert isinstance(program, (LeveledObdd, Nobdd))
-        single = [evaluate(program, x) for x in xs]
-        assert single == function_of(program).table.tolist()
+        assert [evaluate(program, x) for x in xs] == np.asarray(reference).tolist()
+
+
+def _assert_routes_agree(program):
+    if isinstance(program, QuantumProgram):
+        table = quantum_acceptance_table(program)
+    elif isinstance(program, Pobdd):
+        table = acceptance_table(program)
+    else:
+        table = function_of(program).table
+    _assert_single_matches(program, _inputs(program.n), table)
 
 
 @pytest.mark.parametrize("spec", PROGRAM_SPECS)
@@ -64,3 +70,20 @@ def test_per_input_route_matches_table_on_classical_lifts(q, family, mode):
 def test_per_input_route_matches_table_on_quantum_lifts(q):
     base = parse_program_spec("eq-qobdd:%d" % q)
     _assert_routes_agree(xor_reorder_qobdd(base, BlockLayout(q)))
+
+
+Q8_LIFTS = [("eq-obdd:8", "xor"), ("or-nobdd:8", "direct"), ("eq-pobdd:8", "xor"),
+            ("eq-qobdd-recombined:8", "xor")]
+
+
+@pytest.mark.parametrize("spec,mode", Q8_LIFTS)
+def test_per_input_route_matches_propagate_on_q8_lifts(spec, mode):
+    # n = 32: no truth table exists, so the batch route is `propagate`
+    layout = BlockLayout(8)
+    program = lift(parse_program_spec(spec), layout, mode)
+    rng = np.random.default_rng(32)
+    allowed = [layout.assemble_input(rng.permutation(layout.q), rng.integers(0, 2, layout.q), mode)
+               for _ in range(24)]
+    arbitrary = [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(24)]
+    xs = allowed + arbitrary
+    _assert_single_matches(program, xs, propagate(program, xs))

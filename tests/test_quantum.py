@@ -168,13 +168,20 @@ def test_is_commutative_quantum():
 
 
 def test_per_step_norm_drift_detected():
-    # bypass the constructor by mutating a stored matrix in place is not
-    # possible (arrays are read-only); instead check the report shape
     ks = eq_multipliers(2)["multipliers"]
     prog = fingerprint_eq_qobdd(2, ks)
     report = check_unitary(prog)
     assert report.passed and report.max_deviation <= 1e-9
     assert report.matrices_checked == 2 * prog.n
+    # each step deviates from unitarity by about 8e-10, under TOL, so the
+    # constructor accepts it; the norm grows by 4e-10 a step and leaves TOL
+    # after the third
+    grow = (1 + 4e-10) * np.eye(2, dtype=np.complex128)
+    drifting = QuantumProgram(n=4, dim=2, order=VarOrder.identity(4),
+                              initial=np.array([1.0, 0.0]), steps=[(grow, grow)] * 4,
+                              accept=[1])
+    with pytest.raises(StructuralError, match="state norm drifted"):
+        accept_probability(drifting, (0, 1, 0, 1))
 
 
 def test_json_round_trip():
