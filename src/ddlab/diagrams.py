@@ -679,8 +679,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     certificate (`_commutes_pairwise`) comes first: if, within each layer,
     the operators of every two variables commute, the answer is True, for
     any n and without a 2**n table. Otherwise the sampled check decides:
-    `sample_orders` gives the orders tried, and functional equality is
-    checked on all 2**n inputs (n <= limits.COMMUTATIVITY_CAP). The padding
+    `sample_orders` gives the `trials` orders tried (limits.COMMUTATIVITY_ORDERS
+    by default, as in the lift's gate), and functional equality is checked on
+    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP). The padding
     rows go to node 0, so a program with unequal level widths may be called
     non-commutative even though it is order-independent.
 

@@ -730,23 +730,31 @@ def find_check(check_id, seed=0):
 
 
 def reports_from_emission(payloads):
-    """Rebuild report objects from emitted JSON payloads, verifying digests."""
+    """Rebuild report objects from emitted JSON payloads, verifying digests.
+    Anything that is not a report object or a list of them is a UsageError."""
     if isinstance(payloads, dict):
         payloads = [payloads]
+    if not isinstance(payloads, list) or not all(isinstance(p, dict) for p in payloads):
+        raise UsageError("not a report emission: expected a report object or a list of them")
     reports = []
     for payload in payloads:
         body = {k: v for k, v in payload.items() if k not in ("digest", "duration_s")}
         recorded = payload.get("digest", "")
-        if _digest(body) != recorded:
-            raise UsageError("digest mismatch for check %r — payload was altered"
-                             % body.get("spec", {}).get("check_id"))
-        sd = body["spec"]
-        spec = ExperimentSpec(kind=sd["kind"], params=sd["params"],
-                              check_id=sd.get("check_id"), tolerance=sd["tolerance"],
-                              seed=sd["seed"])
-        report = ExperimentReport(spec=spec, measured=body["measured"],
-                                  bound=body["bound"], passed=body["passed"],
-                                  claim=body["claim"], digest=recorded)
+        try:
+            if _digest(body) != recorded:
+                raise UsageError("digest mismatch for check %r — payload was altered"
+                                 % body.get("spec", {}).get("check_id"))
+            sd = body["spec"]
+            if not isinstance(body["measured"], dict) or not isinstance(body["bound"] or {}, dict):
+                raise TypeError("measured and bound must be JSON objects")
+            spec = ExperimentSpec(kind=sd["kind"], params=sd["params"],
+                                  check_id=sd.get("check_id"), tolerance=sd["tolerance"],
+                                  seed=sd["seed"])
+            report = ExperimentReport(spec=spec, measured=body["measured"],
+                                      bound=body["bound"], passed=body["passed"],
+                                      claim=body["claim"], digest=recorded)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise UsageError("not a report: %s %s" % (type(exc).__name__, exc)) from None
         reports.append(report)
     return reports
 

@@ -19,16 +19,13 @@ STORAGE_CAP = 24              # largest n of a stored BoolFn or PartialBoolFn ta
 DP_CAP = 16                   # largest n of the exact-width search
 ENUM_CAP = 8                  # largest n of the n! enumeration cross-check
 COMMUTATIVITY_CAP = 12        # largest n of the sampled commutativity check
-QUANTUM_COMMUTATIVITY_CAP = 10  # the same for `is_commutative_quantum`
 PROGRAM_CAP = 1 << 26         # most entries in a program's packed operators
 
 TOL = 1e-9         # probabilities, unitarity, per-step norm conservation, report bounds
 EXACT_TOL = 1e-12  # the initial quantum state's norm, multiplier-search targets
 
 EXHAUSTIVE_PERM_CAP = 5       # up to this n, commutativity is checked on all n! orders
-COMMUTATIVITY_ORDERS = 1000   # orders `is_commutative` samples by default
-LIFT_ORDERS = 200             # orders the lift's commutativity gate samples
-QUANTUM_ORDERS = 50           # the same for a quantum base, and `is_commutative_quantum`
+COMMUTATIVITY_ORDERS = 200    # orders `is_commutative` (and so the lift's gate) samples
 
 
 def check(value, cap, what):

@@ -12,7 +12,10 @@ one value bit; n = q*(p+1). Block i's address is
 
 Addresses are handled 0-based internally (the 1-based convention used in
 prose is this value plus one). An input is *allowed* when the q block
-addresses form a permutation of {0..q-1}.
+addresses form a permutation of {0..q-1}. `BlockLayout.decode` is the one
+decoder: it maps any (B, n) matrix of input bits to the block addresses and
+value bits, and every other reading of the layout (whole tables, single
+inputs, sampled rows at n too large for a table) is a call of it.
 
 `lift` is the paper's program-level construction, one for every program
 kind. Its states are q address slots times the (width-padded) base state
@@ -26,6 +29,8 @@ boundaries, where the address slot is re-seeded to 0. `reorder_obdd`,
 kind each; the quantum lift needs xor mode, since a reset is not unitary.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -64,86 +69,72 @@ class BlockLayout:
         """1-based input position of block i's value bit."""
         return i * (self.p + 1)
 
-    def addresses_and_values(self, mode):
-        """Vectorized per-block addresses (0-based) and value bits for all inputs.
-
-        Returns (addr, vals): two arrays of shape (2**n, q).
-        """
+    def decode(self, bits, mode):
+        """Per-block addresses (0-based) and value bits of every row of `bits`,
+        a (B, n) matrix of 0/1 entries: two (B, q) int64 arrays (addr, vals)."""
         _check_mode(mode)
-        idx = limits.table_indexes(self.n)
-        addr = np.empty((idx.size, self.q), dtype=np.int64)
-        vals = np.empty((idx.size, self.q), dtype=np.int64)
-        running = np.zeros(idx.size, dtype=np.int64)
-        for i in range(1, self.q + 1):
-            a = np.zeros(idx.size, dtype=np.int64)
-            for pos in self.address_positions(i):
-                a = (a << 1) | ((idx >> (self.n - pos)) & 1)
-            if mode == "xor":
-                running = running ^ a
-                addr[:, i - 1] = running
-            else:
-                addr[:, i - 1] = a
-            vals[:, i - 1] = (idx >> (self.n - self.value_position(i))) & 1
-        return addr, vals
+        bits = np.asarray(bits)
+        if bits.ndim != 2 or bits.shape[1] != self.n:
+            raise ShapeError("expected rows of %d input bits, got shape %s" % (self.n, bits.shape))
+        if bits.dtype != bool and np.any((bits != 0) & (bits != 1)):
+            raise ShapeError("input bits must be 0 or 1")
+        blocks = bits.reshape(-1, self.q, self.p + 1).astype(np.int64)
+        addr = np.zeros(blocks.shape[:2], dtype=np.int64)
+        for t in range(self.p):
+            addr = (addr << 1) | blocks[:, :, t]
+        if mode == "xor":
+            for i in range(1, self.q):   # the running xor, a column at a time
+                addr[:, i] ^= addr[:, i - 1]
+        return addr, blocks[:, :, self.p]
+
+    def addresses_and_values(self, mode):
+        """`decode` of all 2**n inputs in truth-table order (n <= limits.TABLE_CAP)."""
+        return self.decode(diagrams._all_inputs(self.n), mode)
 
     def block_addresses(self, x, mode):
         """0-based addresses of the q blocks for one input (tuple of bits)."""
-        _check_mode(mode)
-        bits = [int(b) for b in x]
-        if len(bits) != self.n:
-            raise ShapeError("expected %d input bits, got %d" % (self.n, len(bits)))
-        out = []
-        running = 0
-        for i in range(1, self.q + 1):
-            a = 0
-            for pos in self.address_positions(i):
-                a = (a << 1) | bits[pos - 1]
-            if mode == "xor":
-                running ^= a
-                out.append(running)
-            else:
-                out.append(a)
-        return tuple(out)
+        return tuple(int(a) for a in self.decode([x], mode)[0][0])
 
     def block_values(self, x):
-        bits = [int(b) for b in x]
-        if len(bits) != self.n:
-            raise ShapeError("expected %d input bits, got %d" % (self.n, len(bits)))
-        return tuple(bits[self.value_position(i) - 1] for i in range(1, self.q + 1))
+        return tuple(int(v) for v in self.decode([x], "direct")[1][0])
 
     def is_allowed(self, x, mode):
         """True iff the q block addresses form a permutation of {0..q-1}."""
-        return len(set(self.block_addresses(x, mode))) == self.q
+        return bool(_allowed(self.decode([x], mode)[0])[0])
 
     def assemble_input(self, addresses, values, mode):
         """Input bits realizing the given 0-based per-block addresses and values."""
         _check_mode(mode)
-        addresses = [int(a) for a in addresses]
-        values = [int(v) for v in values]
+        addresses, values = [int(a) for a in addresses], list(values)
         if len(addresses) != self.q or len(values) != self.q:
             raise ShapeError("need %d addresses and %d values" % (self.q, self.q))
         if any(not 0 <= a < self.q for a in addresses):
             raise ShapeError("addresses must lie in 0..q-1")
+        if any(v not in (0, 1) for v in values):
+            raise ShapeError("values must be 0 or 1")
         bits = [0] * self.n
         prev = 0
-        for i in range(1, self.q + 1):
-            a = addresses[i - 1]
+        for i, a in enumerate(addresses, 1):
             pattern = a ^ prev if mode == "xor" else a
-            if mode == "xor":
-                prev = a
+            prev = a
             for t, pos in enumerate(self.address_positions(i)):
                 bits[pos - 1] = (pattern >> (self.p - 1 - t)) & 1
-            bits[self.value_position(i) - 1] = values[i - 1] & 1
+            bits[self.value_position(i) - 1] = int(values[i - 1])
         return tuple(bits)
+
+
+def _allowed(addr):
+    """Which rows of (B, q) block addresses form a permutation of {0..q-1}:
+    q addresses in that range do exactly when no two of them are equal."""
+    allowed = np.ones(addr.shape[0], dtype=bool)
+    for i, j in itertools.combinations(range(addr.shape[1]), 2):
+        allowed &= addr[:, i] != addr[:, j]
+    return allowed
 
 
 def allowed_input_indexes(layout, mode):
     """Truth-table indexes of all allowed inputs."""
-    addr, _ = layout.addresses_and_values(mode)
-    masks = np.zeros(addr.shape[0], dtype=np.int64)
-    for i in range(layout.q):
-        masks |= np.int64(1) << addr[:, i]
-    return np.nonzero(masks == (1 << layout.q) - 1)[0]
+    return np.nonzero(_allowed(layout.addresses_and_values(mode)[0]))[0]
 
 
 def reorder_function(f, layout, mode):
@@ -157,16 +148,11 @@ def reorder_function(f, layout, mode):
             "base function arity %d does not match layout q=%d" % (f.n, layout.q)
         )
     addr, vals = layout.addresses_and_values(mode)
-    size = addr.shape[0]
-    masks = np.zeros(size, dtype=np.int64)
-    f_index = np.zeros(size, dtype=np.int64)
-    q = layout.q
-    for i in range(q):
-        masks |= np.int64(1) << addr[:, i]
-        f_index |= vals[:, i] << (q - 1 - addr[:, i])
-    defined = (masks == (1 << q) - 1).astype(np.uint8)
-    values = f.table[f_index] & defined
-    return PartialBoolFn(layout.n, defined, values)
+    f_index = np.zeros(addr.shape[0], dtype=np.int64)
+    for i in range(layout.q):
+        f_index |= vals[:, i] << (layout.q - 1 - addr[:, i])
+    defined = _allowed(addr).astype(np.uint8)
+    return PartialBoolFn(layout.n, defined, f.table[f_index] & defined)
 
 
 def totalize(fp, program):
@@ -213,24 +199,22 @@ def _lift_address_maps(layout, mode):
 def lift(program, layout, mode):
     """The reordering lift of a commutative base program of any kind over
     `layout` (the quantum kind in xor mode only). Refuses a base that fails
-    the commutativity check: a base whose operators of distinct variables
-    commute pairwise within each layer passes at any n, and any other base is
-    checked on all 2**n inputs under limits.LIFT_ORDERS sampled orders
-    (limits.QUANTUM_ORDERS for a quantum base), which needs n <=
+    `diagrams.is_commutative` under its defaults, for every kind alike: a base
+    whose operators of distinct variables commute pairwise within each layer
+    passes at any n, and any other base is checked on all 2**n inputs under
+    limits.COMMUTATIVITY_ORDERS sampled orders, which needs n <=
     limits.COMMUTATIVITY_CAP."""
     _check_mode(mode)
     if program.n != layout.q:
         raise ShapeError(
             "base program arity %d does not match layout q=%d" % (program.n, layout.q)
         )
-    quantum = isinstance(program, qsim.QuantumProgram)
-    if quantum and (program.k != 1 or mode != "xor"):
+    if isinstance(program, qsim.QuantumProgram) and (program.k != 1 or mode != "xor"):
         raise ShapeError("the quantum lift is defined for single-layer base programs in xor mode")
     q, w = layout.q, diagrams.width(program)
     limits.check_program(program.k * layout.n, q * w, program._MATRIX)
-    orders = limits.QUANTUM_ORDERS if quantum else limits.LIFT_ORDERS
     base = diagrams._padded(program)   # the gate pads the same way, so pad once for both
-    if not diagrams.is_commutative(base, trials=orders):
+    if not diagrams.is_commutative(base):
         raise CommutativityError(
             "base program failed the commutativity check; reordering is undefined for it"
         )

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from ddlab.cli import main
+from ddlab.experiments import _digest
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,25 @@ def test_reorder_arity_mismatch_is_a_usage_error(capsys):
     assert rc == 2 and "arity" in err
 
 
+def _with_digest(body):
+    return json.dumps(dict(body, digest=_digest(body)))
+
+
+# valid JSON that is not a report; the last two carry the digest of their body
+NOT_REPORTS = {
+    "list.json": "[1]", "string.json": '"x"', "no-spec.json": _with_digest({}),
+    "scalar-bound.json": _with_digest({
+        "spec": {"kind": "width-exact", "params": {}, "check_id": None, "tolerance": 0, "seed": 0},
+        "measured": {}, "bound": 1, "passed": True, "claim": ""}),
+}
+
+
+def _write_non_reports(tmp_path):
+    for name, text in NOT_REPORTS.items():
+        (tmp_path / name).write_text(text)
+    return [tmp_path / name for name in NOT_REPORTS]
+
+
 def test_report_rejects_non_json_file(tmp_path, capsys):
     path = tmp_path / "not-json.csv"
     path.write_text("check_id,kind,passed\n")
@@ -84,6 +104,9 @@ def test_report_rejects_non_json_file(tmp_path, capsys):
     assert rc == 2 and "not a JSON report" in err
     rc, _, err = run_cli(capsys, "report", str(tmp_path / "missing.json"))
     assert rc == 2 and "cannot read" in err
+    for path in _write_non_reports(tmp_path):
+        rc, _, err = run_cli(capsys, "report", str(path), "--format", "csv")
+        assert rc == 2 and "not a report" in err, path.name
 
 
 def test_width_exact(capsys):
@@ -170,6 +193,8 @@ def _sweep_commands(tmp_path):
     yield ["report", str(saved)]
     yield ["suite", "quick", "--out", str(tmp_path / "missing" / "quick.json")]
     yield ["report", str(tmp_path / "missing.json")]
+    for path in _write_non_reports(tmp_path):
+        yield ["report", str(path)]
     yield ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"]
     yield ["verify", "reqb-padding-flips", "--seed", "-1"]
     yield ["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"]

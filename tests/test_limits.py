@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def test_caps_and_tolerances_are_defined_only_in_limits():
         if module is limits:
             continue
         assert not [name for name in vars(module) if pattern.match(name)], info.name
+
+
+def test_readme_limits_table_matches_the_limits_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| limit | value | what it bounds |", 1)[1].split("\n\n", 1)[0]
+    rows = set(re.findall(r"^\| `([A-Z_]+)` \|", table, flags=re.M))
+    assert rows and not [name for name in rows if not hasattr(limits, name)]
+    constants = {name for name in vars(limits) if re.match(r"^[A-Z_]+_(CAP|ORDERS)$", name)}
+    assert constants - rows == set()
 
 
 def test_table_indexes():

@@ -167,6 +167,13 @@ def test_is_commutative_quantum():
     assert not is_commutative_quantum(doomed)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_is_commutative_quantum_certifies_above_the_sampled_cap(n):
+    # the certificate needs no 2**n table, so no cap applies to it
+    ks = modp_multipliers(3)["multipliers"]
+    assert is_commutative_quantum(fingerprint_modp_qobdd(3, n, ks))
+
+
 def test_per_step_norm_drift_detected():
     ks = eq_multipliers(2)["multipliers"]
     prog = fingerprint_eq_qobdd(2, ks)

@@ -50,6 +50,75 @@ def test_block_addresses_direct_and_xor():
         four.block_addresses(x[:-1], "direct")
 
 
+def _reference_decode(layout, x, mode):
+    """The per-input decoding loop: block addresses (0-based) and value bits
+    of one input, read bit by bit."""
+    bits = [int(b) for b in x]
+    out = []
+    running = 0
+    for i in range(1, layout.q + 1):
+        a = 0
+        for pos in layout.address_positions(i):
+            a = (a << 1) | bits[pos - 1]
+        if mode == "xor":
+            running ^= a
+            out.append(running)
+        else:
+            out.append(a)
+    return tuple(out), tuple(bits[layout.value_position(i) - 1] for i in range(1, layout.q + 1))
+
+
+def _assert_decode_matches_reference(layout, rows, mode):
+    addr, vals = layout.decode(rows, mode)
+    assert addr.shape == vals.shape == (len(rows), layout.q)
+    for x, a, v in zip(rows, addr, vals):
+        assert (tuple(map(int, a)), tuple(map(int, v))) == _reference_decode(layout, x, mode)
+
+
+@pytest.mark.parametrize("mode", ["direct", "xor"])
+@pytest.mark.parametrize("q", [2, 4])
+def test_decode_matches_the_per_input_loop_on_every_input(q, mode):
+    layout = BlockLayout(q)
+    rows = np.array(list(itertools.product((0, 1), repeat=layout.n)))
+    _assert_decode_matches_reference(layout, rows, mode)
+    table_addr, table_vals = layout.addresses_and_values(mode)
+    addr, vals = layout.decode(rows, mode)
+    assert np.array_equal(table_addr, addr) and np.array_equal(table_vals, vals)
+
+
+@pytest.mark.parametrize("mode", ["direct", "xor"])
+@pytest.mark.parametrize("q", [8, 16])
+def test_decode_matches_the_per_input_loop_on_sampled_inputs(q, mode):
+    # n = 32 and n = 80: no 2**n table exists, and decode needs none
+    layout = BlockLayout(q)
+    rng = np.random.default_rng(q)
+    _assert_decode_matches_reference(layout, rng.integers(0, 2, size=(200, layout.n)), mode)
+    assert layout.is_allowed(layout.assemble_input(rng.permutation(q), [1] * q, mode), mode)
+
+
+@pytest.mark.parametrize("mode", ["direct", "xor"])
+def test_is_allowed_holds_at_every_block_count(mode):
+    # q = 64 and 128 need more address bits than an int64 mask holds
+    for q in (2, 16, 64, 128):
+        layout = BlockLayout(q)
+        perm = list(range(q))[::-1]
+        assert layout.is_allowed(layout.assemble_input(perm, [0] * q, mode), mode)
+        perm[0] = perm[-1]
+        assert not layout.is_allowed(layout.assemble_input(perm, [0] * q, mode), mode)
+
+
+def test_layout_reads_refuse_entries_that_are_not_bits():
+    two = BlockLayout(2)
+    for call in (lambda: two.block_addresses((2, 0, 0, 0), "direct"),
+                 lambda: two.is_allowed((2, 0, 0, 0), "direct"),
+                 lambda: two.block_values((0, 0, 0, -1)),
+                 lambda: two.decode([[0, 1, 0, 0.5]], "xor"),
+                 lambda: two.decode([0, 1, 0, 1], "xor"),
+                 lambda: two.assemble_input([0, 1], [2, 0], "direct")):
+        with pytest.raises(ShapeError):
+            call()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 4]), st.sampled_from(["direct", "xor"]),
        st.randoms(use_true_random=False))
