@@ -90,7 +90,7 @@ def _cmd_build(args):
 
 
 def _cmd_reorder(args):
-    from .reorder import BlockLayout
+    from .reorder import BlockLayout, lift
     try:
         layout = BlockLayout(args.layout)
     except ShapeError as exc:
@@ -98,19 +98,18 @@ def _cmd_reorder(args):
     base = parse_program_spec(args.spec)
     if base.n != layout.q:
         raise UsageError("base program arity %d does not match layout q=%d" % (base.n, layout.q))
-    params = {"base": args.spec, "layout": args.layout, "mode": args.mode}
-    if args.samples:
-        params["samples"] = args.samples
-    spec = ExperimentSpec(kind="reorder-roundtrip", params=params, seed=args.seed,
-                          check_id="reorder-%s-%s" % (args.mode, args.spec))
+    if isinstance(base, QuantumProgram) and args.mode != "xor":
+        raise UsageError("quantum lifts are defined for xor mode only")
     if args.text:
-        from .experiments import _lift_program
-        lifted = _lift_program(base, layout, args.mode)
+        lifted = lift(base, layout, args.mode)
         if isinstance(lifted, QuantumProgram):
             sys.stdout.write(quantum_to_json(lifted) + "\n")
         else:
             sys.stdout.write(to_text(lifted))
         return 0
+    params = {"base": args.spec, "layout": args.layout, "mode": args.mode}
+    spec = ExperimentSpec(kind="reorder-roundtrip", params=params, seed=args.seed,
+                          check_id="reorder-%s-%s" % (args.mode, args.spec))
     report = run(spec)
     sys.stdout.write(report_emit(report, args.format, args.with_duration))
     return 0 if report.passed else 1
@@ -173,7 +172,8 @@ def build_parser():
 
     def common(p, seed=True, fmt=True):
         if seed:
-            p.add_argument("--seed", type=_count(0), default=0, help="PRNG seed for sampled checks")
+            p.add_argument("--seed", type=_count(0), default=0,
+                           help="seed recorded in each report (no registered check samples)")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
             p.add_argument("--with-duration", action="store_true",
@@ -203,7 +203,6 @@ def build_parser():
     p.add_argument("spec", help="base program mini-spec, e.g. eq-obdd:4")
     p.add_argument("--layout", type=int, required=True, help="block count q (power of two)")
     p.add_argument("--mode", choices=("direct", "xor"), default="xor")
-    p.add_argument("--samples", type=_count(1), help="additional seeded samples of allowed inputs")
     p.add_argument("--text", action="store_true", help="print the lifted program instead of a report")
     common(p)
     p.set_defaults(func=_cmd_reorder)

@@ -688,8 +688,11 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     The sampled check draws and runs the own order and the sampled ones in
     chunks of at most max(1, _CHUNK_ROWS >> n) orders, the memory of one
     `propagate` chunk: up to three in the first, then at most three times
-    all before, so an early difference is found after little work.
+    all before, so an early difference is found after little work. Fewer
+    than one trial is refused with `ShapeError`.
     """
+    if trials < 1:
+        raise ShapeError("is_commutative needs at least one trial, got %r" % (trials,))
     n = program.n
     padded = _padded(program)
     if _commutes_pairwise(padded, tol):

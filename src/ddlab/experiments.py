@@ -28,16 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fixtures, limits, zoo
-from .boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, n_min, require_enumerable,
-                     subfunction_count)
-from .diagrams import (LeveledObdd, Nobdd, Pobdd, build_binary_tree_obdd, is_commutative,
-                       rounded_table, width)
+from . import diagrams, fixtures, limits, zoo
+from .boolfn import BoolFn, Partition, VarOrder, n_min, require_enumerable, subfunction_count
+from .diagrams import build_binary_tree_obdd, rounded_table, width
 from .errors import ShapeError, UsageError
 from .quantum import QuantumProgram, accept_probability, check_unitary, computes_with_bounded_error
 from .quantum import acceptance_table as quantum_acceptance_table
-from .reorder import (BlockLayout, allowed_input_indexes, reorder_function, reorder_nobdd,
-                      reorder_obdd, reorder_pobdd, totalize, xor_reorder_qobdd)
+from .reorder import BlockLayout, allowed_input_indexes, lift, reorder_function, totalize
 
 KINDS = ("width-exact", "nsub", "equivalence", "error-margin",
          "reorder-roundtrip", "hierarchy-probe")
@@ -135,20 +132,6 @@ def parse_program_spec(text):
     raise UsageError("unknown program family %r" % name)
 
 
-def _lift_program(base, layout, mode):
-    if isinstance(base, QuantumProgram):
-        if mode != "xor":
-            raise UsageError("quantum lifts are defined for xor mode only")
-        return xor_reorder_qobdd(base, layout)
-    if isinstance(base, Pobdd):
-        return reorder_pobdd(base, layout, mode)
-    if isinstance(base, Nobdd):
-        return reorder_nobdd(base, layout, mode)
-    if isinstance(base, LeveledObdd):
-        return reorder_obdd(base, layout, mode)
-    raise UsageError("cannot lift object of type %s" % type(base).__name__)
-
-
 def _resolve_program(obj):
     """Program from a mini-spec string or a lift dict."""
     if isinstance(obj, str):
@@ -156,7 +139,7 @@ def _resolve_program(obj):
     if isinstance(obj, dict) and "lift-of" in obj:
         base = parse_program_spec(obj["lift-of"])
         layout = BlockLayout(obj["layout"])
-        return _lift_program(base, layout, obj.get("mode", "xor"))
+        return lift(base, layout, obj.get("mode", "xor"))
     raise UsageError("cannot resolve program spec %r" % (obj,))
 
 
@@ -367,12 +350,11 @@ def _run_equivalence(spec):
         "first_mismatch": int(idx[diff[0]]) if diff.size else None,
     }
     passed = diff.size == 0
-    if p.get("commutative-trials"):
-        prog = _resolve_program(p["left"])
-        comm = is_commutative(prog, trials=int(p["commutative-trials"]), seed=spec.seed)
-        measured["commutative"] = bool(comm)
-        measured["commutative_trials"] = int(p["commutative-trials"])
-        passed = passed and comm
+    if p.get("commutative"):
+        # the pairwise certificate alone: no orders are sampled
+        prog = diagrams._padded(_resolve_program(p["left"]))
+        measured["commutative"] = diagrams._commutes_pairwise(prog, spec.tolerance)
+        passed = passed and measured["commutative"]
     bound = None
     if p.get("width-bound"):
         bound = dict(p["width-bound"])
@@ -382,7 +364,7 @@ def _run_equivalence(spec):
     claim = "%s equals %s on %s %d checked inputs" % (
         left_desc, right_desc, "all" if scope == "all" else "the allowed", measured["inputs_checked"])
     if "commutative" in measured:
-        claim += "; per-layer transition tables commute under %d sampled orders" % measured["commutative_trials"]
+        claim += "; within each layer, the operators of every two variables commute"
     if bound:
         claim += "; width %d %s %s (%s)" % (measured["width"], bound["op"], bound["value"],
                                             bound.get("expression", ""))
@@ -395,16 +377,14 @@ def _run_pad_flips(spec):
     dead = [int(d) for d in p["dead"]]
     if any(not 1 <= d <= f.n for d in dead):
         raise ShapeError("padding positions out of range")
-    flips = int(p.get("flips", 1000))
-    rng = np.random.default_rng(spec.seed)
-    idx = rng.integers(0, 1 << f.n, size=flips)
-    pos = np.asarray(dead)[rng.integers(0, len(dead), size=flips)]
-    flipped = idx ^ (1 << (f.n - pos))
-    violations = int(np.count_nonzero(f.table[idx] != f.table[flipped]))
-    measured = {"flips": flips, "violations": violations, "dead_positions": dead}
+    idx = limits.table_indexes(f.n)
+    violations = sum(int(np.count_nonzero(f.table != f.table[idx ^ (1 << (f.n - d))]))
+                     for d in dead)
+    measured = {"violations": violations, "dead_positions": dead, "inputs_checked": int(idx.size)}
     passed = violations == 0
     claim = ("flipping any padding bit of %s (positions %s) never changes the output "
-             "(%d seeded random flips, %d violations)") % (p["function"], dead, flips, violations)
+             "(all %d inputs checked at each position, %d violations)") % (
+        p["function"], dead, idx.size, violations)
     return measured, None, passed, claim
 
 
@@ -492,11 +472,9 @@ def _run_reorder_roundtrip(spec):
     base = parse_program_spec(p["base"])
     layout = BlockLayout(p["layout"])
     mode = p.get("mode", "xor")
-    samples = p.get("samples")
-    limits.check(int(samples or 0), limits.SAMPLE_CAP, "the sample count")
     if p.get("expect") == "reject":
         try:
-            _lift_program(base, layout, mode)
+            lift(base, layout, mode)
         except Exception as exc:  # noqa: BLE001 - the exception type is the measurement
             measured = {"raised": type(exc).__name__}
             passed = type(exc).__name__ == "CommutativityError"
@@ -505,7 +483,7 @@ def _run_reorder_roundtrip(spec):
             return measured, None, passed, claim
         return {"raised": None}, None, False, (
             "lifting the non-commutative base %s must be refused: nothing was raised" % p["base"])
-    lifted = _lift_program(base, layout, mode)
+    lifted = lift(base, layout, mode)
     w = width(lifted)
     base_w = width(base)
     bound = dict(p.get("width-bound") or
@@ -524,20 +502,11 @@ def _run_reorder_roundtrip(spec):
     mism = int(np.count_nonzero(lift_table[idx] != ref_vals[idx]))
     measured = {"width": w, "base_width": base_w, "inputs_checked": int(idx.size),
                 "mismatches": mism}
-    if samples:
-        rng = np.random.default_rng(spec.seed)
-        s_idx = np.asarray(idx)[rng.integers(0, len(idx), size=int(samples))]
-        measured["samples"] = int(samples)
-        measured["sample_mismatches"] = int(
-            np.count_nonzero(lift_table[s_idx] != ref_vals[s_idx]))
-    passed = (mism == 0 and measured.get("sample_mismatches", 0) == 0
-              and _bound_ok(w, bound, spec.tolerance))
+    passed = mism == 0 and _bound_ok(w, bound, spec.tolerance)
     claim = ("%s-mode lift of %s over %d blocks: width %d %s %s (%s); agrees with the "
              "function-level transform on %s") % (
         mode, p["base"], layout.q, w, bound["op"], bound["value"],
         bound.get("expression", ""), scope_desc)
-    if samples:
-        claim += " and on %d seeded samples" % samples
     return measured, bound, passed, claim
 
 
@@ -641,21 +610,18 @@ def _paper_core_checks(seed):
     for q in (2, 4):
         checks.append(ExperimentSpec(
             kind="reorder-roundtrip", check_id="reorder-obdd-q%d" % q, seed=seed,
-            params={"base": "eq-obdd:%d" % q, "layout": q, "mode": "xor",
-                    "samples": 10000 if q == 4 else None}))
+            params={"base": "eq-obdd:%d" % q, "layout": q, "mode": "xor"}))
         checks.append(ExperimentSpec(
             kind="reorder-roundtrip", check_id="reorder-nobdd-q%d" % q, seed=seed,
-            params={"base": "or-nobdd:%d" % q, "layout": q, "mode": "direct",
-                    "samples": 10000 if q == 4 else None}))
+            params={"base": "or-nobdd:%d" % q, "layout": q, "mode": "direct"}))
         checks.append(ExperimentSpec(
             kind="reorder-roundtrip", check_id="reorder-pobdd-q%d" % q, seed=seed,
-            params={"base": "eq-pobdd:%d" % q, "layout": q, "mode": "xor",
-                    "samples": 10000 if q == 4 else None}))
+            params={"base": "eq-pobdd:%d" % q, "layout": q, "mode": "xor"}))
     for k in (1, 2):
         checks.append(ExperimentSpec(
             kind="equivalence", check_id="pj-walk-equivalence-k%d" % k, seed=seed,
             params={"left": "pj-2k:%d,2" % k, "right": "pj:%d,2" % k, "scope": "all",
-                    "commutative-trials": 1000}))
+                    "commutative": True}))
     checks.append(ExperimentSpec(
         kind="reorder-roundtrip", check_id="rpj-lift-roundtrip", seed=seed,
         params={"base": "rpj-core:1,2", "layout": 4, "mode": "direct",
@@ -669,16 +635,14 @@ def _paper_core_checks(seed):
         params={"which": "rpj", "k": 1, "a": 2}))
     checks.append(ExperimentSpec(
         kind="equivalence", check_id="reqb-padding-flips", seed=seed,
-        params={"variant": "pad-flips", "function": "reqb:6,4", "dead": [5, 6],
-                "flips": 1000}))
+        params={"variant": "pad-flips", "function": "reqb:6,4", "dead": [5, 6]}))
     checks.append(ExperimentSpec(
         kind="equivalence", check_id="wsb-padding-flips", seed=seed,
-        params={"variant": "pad-flips", "function": "wsb:9,3", "dead": [5, 6, 7, 8, 9],
-                "flips": 1000}))
+        params={"variant": "pad-flips", "function": "wsb:9,3", "dead": [5, 6, 7, 8, 9]}))
     checks.append(ExperimentSpec(
         kind="equivalence", check_id="mswb-padding-flips", seed=seed,
         params={"variant": "pad-flips", "function": "mswb:12,4",
-                "dead": [5, 6, 9, 10, 11, 12], "flips": 1000}))
+                "dead": [5, 6, 9, 10, 11, 12]}))
     return checks
 
 

@@ -209,8 +209,9 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
 
     Exhaustive over all 2**n inputs when `samples` is None (n <=
     limits.TABLE_CAP); otherwise checks `samples` seeded random inputs, and
-    only those are propagated. Works for every program kind. Undefined points
-    of a partial target are skipped.
+    only those are propagated (fewer than one is refused with `ShapeError`).
+    Works for every program kind. Undefined points of a partial target are
+    skipped.
     """
     n = program.n
     if not isinstance(f, (BoolFn, PartialBoolFn)):
@@ -220,6 +221,8 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     if samples is None:
         table, idx = acceptance_table(program), limits.table_indexes(n)
     else:
+        if samples < 1:
+            raise ShapeError("the sample count must be at least 1, got %r" % (samples,))
         limits.check(int(samples), limits.SAMPLE_CAP, "the sample count")
         idx = np.random.default_rng(seed).integers(0, 1 << n, size=int(samples), dtype=np.int64)
     if isinstance(f, PartialBoolFn):

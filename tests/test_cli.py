@@ -142,21 +142,11 @@ def test_enumeration_cap_is_checked_before_any_search(capsys, monkeypatch):
 
 
 def test_bad_counts_are_usage_errors(capsys):
-    for argv in (["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"],
-                 ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "0"],
-                 ["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"],
+    for argv in (["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"],
                  ["verify", "reqb-padding-flips", "--seed", "-1"],
                  ["suite", "negative", "--seed", "x"]):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 2 and "Traceback" not in err, argv
-
-
-def test_sample_count_above_a_full_table_is_a_capacity_error(capsys):
-    from ddlab.limits import SAMPLE_CAP
-
-    rc, _, err = run_cli(capsys, "reorder", "eq-obdd:2", "--layout", "2",
-                         "--samples", str(SAMPLE_CAP + 1))
-    assert rc == 3 and "capacity error" in err
 
 
 @pytest.mark.parametrize("spec", ["eq-pobdd:40", "eq-obdd:40"])
@@ -195,7 +185,6 @@ def _sweep_commands(tmp_path):
     yield ["report", str(tmp_path / "missing.json")]
     for path in _write_non_reports(tmp_path):
         yield ["report", str(path)]
-    yield ["reorder", "eq-obdd:2", "--layout", "2", "--samples", "-5"]
     yield ["verify", "reqb-padding-flips", "--seed", "-1"]
     yield ["reorder", "eq-obdd:2", "--layout", "2", "--seed", "-1"]
     yield ["eval", "eq-pobdd:40", "--input", "0"]

@@ -191,6 +191,17 @@ def test_is_commutative_positive_and_negative():
     assert not is_commutative(tree)
 
 
+@pytest.mark.parametrize("spec", ["tree:eq:6", "tree:eq:8", "tree:ws:8"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_is_commutative_refuses_fewer_than_one_trial(spec, trials):
+    # above n = 5 the orders are sampled: with no trials the own order would
+    # only be compared with itself and a non-commutative program would pass
+    program = parse_program_spec(spec)
+    assert not is_commutative(program, trials=1)
+    with pytest.raises(ShapeError):
+        is_commutative(program, trials=trials)
+
+
 def test_is_commutative_capacity():
     # bit 1 sets node 1 on odd levels and node 0 on even ones: two such maps
     # do not commute, so the sampled check, capped at n = 12, has to decide

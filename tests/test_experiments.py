@@ -123,6 +123,29 @@ def test_seeded_reruns_are_identical():
     assert a == b
 
 
+def test_paper_core_is_seed_free(paper_core_reports):
+    # every paper-core verdict is exhaustive or certified: the seed changes nothing
+    for a, b in zip(paper_core_reports, run_suite("paper-core", seed=7), strict=True):
+        assert (a.measured, a.passed, a.claim) == (b.measured, b.passed, b.claim), a.spec.check_id
+        assert "sampled" not in a.claim and "seeded" not in a.claim, a.spec.check_id
+
+
+def test_pad_flips_check_every_input_at_every_position():
+    # both positions of eq:2 are live: flipping either changes all 4 outputs
+    params = {"variant": "pad-flips", "function": "eq:2", "dead": [1, 2]}
+    report = run(ExperimentSpec(kind="equivalence", check_id="adhoc-flips", params=params))
+    assert report.measured == {"violations": 8, "dead_positions": [1, 2], "inputs_checked": 4}
+    assert not report.passed
+
+
+def test_commutativity_of_an_equivalence_is_decided_by_the_certificate():
+    # the binary tree of eq:4 computes eq:4 but its operators do not commute
+    report = run(ExperimentSpec(kind="equivalence", check_id="adhoc-comm",
+                                params={"left": "tree:eq:4", "right": "eq:4", "commutative": True}))
+    assert report.measured["mismatches"] == 0
+    assert report.measured["commutative"] is False and not report.passed
+
+
 GOLDEN = pathlib.Path(__file__).with_name("data") / "paper_core_golden.json"
 
 

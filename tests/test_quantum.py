@@ -6,7 +6,7 @@ import pytest
 
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
 from ddlab.diagrams import Pobdd, eval_obdd, eval_pobdd
-from ddlab.errors import CapacityError, StructuralError
+from ddlab.errors import CapacityError, ShapeError, StructuralError
 from ddlab.fixtures import eq_multipliers, modp_multipliers
 from ddlab.quantum import (QuantumProgram, accept_probability, acceptance_table, check_unitary,
                            computes_with_bounded_error, from_json, is_commutative_quantum,
@@ -113,6 +113,16 @@ def test_bounded_error_sampled_mode_is_deterministic():
     v2 = computes_with_bounded_error(prog, eq(4), 1.0 / 6.0, samples=64, seed=7)
     assert (v1.min_one, v1.max_zero) == (v2.min_one, v2.max_zero)
     assert v1.passed
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_bounded_error_refuses_fewer_than_one_sample(samples):
+    # with no inputs checked the negation of eq would pass as "verified"
+    prog = fingerprint_eq_qobdd(4, eq_multipliers(4)["multipliers"])
+    negated = BoolFn(4, 1 - eq(4).table)
+    assert not computes_with_bounded_error(prog, negated, 1.0 / 6.0, samples=64).passed
+    with pytest.raises(ShapeError):
+        computes_with_bounded_error(prog, negated, 1.0 / 6.0, samples=samples)
 
 
 @pytest.mark.parametrize("build", [eq_geometric_pobdd, eq_weighted_obdd])

@@ -21,8 +21,8 @@ from ddlab.boolfn import BoolFn
 from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table, propagate,
                             rounded_table)
 from ddlab.errors import CapacityError
-from ddlab.experiments import _lift_program, parse_program_spec
-from ddlab.reorder import BlockLayout
+from ddlab.experiments import parse_program_spec
+from ddlab.reorder import BlockLayout, lift
 
 # (base, mode) of every lift kind at q = 2 and 4; quantum lifts are xor-only
 LIFTS = ([("%s:%d" % (base, q), mode) for q in (2, 4)
@@ -50,7 +50,7 @@ def test_table_matches_propagate_on_programs(spec):
 @pytest.mark.parametrize("spec, mode", LIFTS)
 def test_table_matches_propagate_on_lifts(spec, mode):
     base = parse_program_spec(spec)
-    _assert_table_matches_propagate(_lift_program(base, BlockLayout(base.n), mode))
+    _assert_table_matches_propagate(lift(base, BlockLayout(base.n), mode))
 
 
 @pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
@@ -67,7 +67,7 @@ def test_table_matches_propagate_on_random_programs(kind):
 
 def _n12_programs():
     layout = BlockLayout(4)
-    lifts = [_lift_program(parse_program_spec(spec), layout, mode)
+    lifts = [lift(parse_program_spec(spec), layout, mode)
              for spec, mode in [("eq-obdd:4", "xor"), ("or-nobdd:4", "direct"),
                                 ("eq-pobdd:4", "xor"), ("eq-qobdd:4", "xor")]]
     return lifts + [parse_program_spec("rpj-2k:1,2")]
@@ -95,7 +95,7 @@ def test_table_in_blocks_of_chunk_rows_matches_and_stays_within_the_budget(monke
 @pytest.fixture(scope="module")
 def q8_lifts():
     layout = BlockLayout(8)
-    return [_lift_program(parse_program_spec(spec), layout, mode)
+    return [lift(parse_program_spec(spec), layout, mode)
             for spec, mode in [("eq-obdd:8", "xor"), ("or-nobdd:8", "direct"),
                                ("eq-pobdd:8", "xor"), ("eq-qobdd:8", "xor")]]
 
