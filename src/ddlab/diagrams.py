@@ -28,14 +28,15 @@ it costs what one input's state needs, not the whole operator.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
-two distinct variables must commute, which takes O(k*n**2) operator products
-and no 2**n table. A program that fails it goes to the sampled route, which
-runs a chunk of sampled orders at once over a prefix trie
-(`_permuted_profile`): in the first layer an order's state after ell levels
-has only the 2**ell rows of the bits read so far, and each level gathers, per
-order, its variable's operators from a per-layer stack. A chunk spans at most
-`_CHUNK_ROWS` (order, input) rows; the check returns False after the first
-chunk in which an order differs.
+two distinct variables must commute on the states that some order can meet
+them in, found by one reachability scan per layer. It takes O(k*n) batched
+operator products and no 2**n table. A program that fails it goes to the
+sampled route, which runs a chunk of sampled orders at once over a prefix
+trie (`_permuted_profile`): in the first layer an order's state after ell
+levels has only the 2**ell rows of the bits read so far, and each level
+gathers, per order, its variable's operators from a per-layer stack. A chunk
+spans at most `_CHUNK_ROWS` (order, input) rows; the check returns False
+after the first chunk in which an order differs.
 
 Conventions:
   * `layer_ends` is an optional per-layer endomap applied to the node reached
@@ -445,10 +446,10 @@ def _all_inputs(n):
 
 def _padded(program):
     """The program with every level padded to its widest one, so that levels
-    can be applied in any order. Rows of padded nodes go to node 0. They are
-    unreachable in the program's own order; in another order they are used
-    only when the widths differ, and the commutativity check is then free to
-    answer False."""
+    can be applied in any order. Rows of padded nodes go to node 0. The
+    certificate compares only the rows that own-order subsequences reach, so
+    a padded row matters only when skipping levels lands on it; the sampled
+    route runs every order on every input, padded rows included."""
     w = width(program)
     if all(x == w for x in program.widths):
         return program
@@ -646,27 +647,87 @@ def _orders(n, trials, seed):
         yield tuple(perm)
 
 
+def _successors(padded, masks, pair):
+    """The nodes that either operator of `pair` reaches from the nodes set in
+    each row of the boolean `masks` (a nonzero entry is an edge)."""
+    if padded._MATRIX:
+        return padded._act(masks.astype(np.float64), np.abs(pair[0]) + np.abs(pair[1])) > 0
+    out = np.zeros_like(masks)
+    rows, nodes = np.nonzero(masks)
+    for op in pair:
+        out[rows, op[nodes]] = True
+    return out
+
+
+def _then(padded, images, ops):
+    """The images acted on by the operators, batched over the leading axes,
+    which broadcast: one `@` for matrices, one flat gather for index maps."""
+    if padded._MATRIX:
+        return padded._act(images, ops)
+    w = ops.shape[-1]
+    offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
+    return padded._act(images + offsets, ops.ravel())
+
+
 def _commutes_pairwise(padded, tol):
     """The certificate: True when, within every layer, the operators of every
-    two distinct variables commute (exactly for index maps and boolean
-    relations, within `tol` entrywise for stochastic and unitary matrices).
-    Then every order composes each layer's operators to the same product, so
-    the output on every input is that of the program's own order. Each
-    operator acts, with the kind's `_act`, on the basis states (the identity
-    operator); one pair of variables is compared at a time."""
+    two distinct variables commute on the states where an order can meet them
+    (exactly for index maps and boolean relations, within `tol` entrywise for
+    stochastic and unitary matrices). Then every order leaves each layer in the
+    state of the program's own order, so the output on every input is that of
+    the own order.
+
+    For positions a < b of the own order, A (position a's operators) and B
+    (position b's) must agree as A·B and B·A on the rows of the states
+    reachable by own-order subsequences of the positions before b that skip
+    a. That suffices: in any order of a set of variables, move the last one
+    left to its own-order place by adjacent swaps; just before each swap the
+    state is the own-order state of a subsequence that skips both swapped
+    variables, so by induction on the set's size every order gives the
+    own-order state. The first layer starts from the start state, and each
+    later one from the layer-end image of the states reached after the
+    previous layer.
+
+    One scan per layer gives every such set (reachability follows the nonzero
+    entries), and one batched product per position compares it with all later
+    ones, on the union of their rows (for matrices, in groups of at most
+    _CHUNK_ROWS product rows)."""
     n, w = padded.n, padded.widths[0]
     basis = padded._map_op(np.arange(w), w)
+    reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
     for j in range(padded.k):
         pairs = [padded._pair(j * n + p) for p in range(n)]
-        images = [np.stack([padded._act(basis, op) for op in pair]) for pair in pairs]
-        for a, b in itertools.combinations(range(n), 2):
-            a_first = np.stack([padded._act(images[a], op) for op in pairs[b]])
-            b_first = np.stack([padded._act(images[b], op) for op in pairs[a]]).swapaxes(0, 1)
-            if a_first.dtype.kind in "bi":
-                if not np.array_equal(a_first, b_first):
+        # skips[a]: the states of own-order subsequences that skip position a;
+        # before[a, b]: those of the positions before b
+        skips, before = np.tile(reached, (n, 1)), np.empty((n, n, w), dtype=bool)
+        for b, pair in enumerate(pairs):
+            before[:, b] = skips
+            step = _successors(padded, np.vstack([skips, reached]), pair)
+            step[b] = False
+            skips, reached = skips | step[:n], step[n]
+        stack = np.array(pairs)
+        for a in range(n - 1):
+            rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
+            start, own = basis[rows], stack[a]
+            first = _then(padded, start, own)[None, None]
+            # products of matrices hold at most _CHUNK_ROWS rows at a time
+            group = max(1, _CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
+            for lo in range(a + 1, n, group):
+                later, masks = stack[lo: lo + group], before[a, lo: lo + group]
+                a_first = _then(padded, first, later[:, :, None])
+                b_first = _then(padded, _then(padded, start, later)[:, :, None], own[None, None])
+                if a_first.dtype.kind in "bi":
+                    differ = a_first != b_first
+                else:
+                    differ = np.abs(a_first - b_first) > tol
+                if padded._MATRIX:
+                    differ = differ.any(axis=-1)
+                if np.any(differ & masks[:, None, None, rows]):
                     return False
-            elif np.any(np.abs(a_first - b_first) > tol):
-                return False
+        if padded.layer_ends[j] is not None:
+            mapped = np.zeros(w, dtype=bool)
+            mapped[padded.layer_ends[j][reached]] = True
+            reached = mapped
     return True
 
 
@@ -677,13 +738,14 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
 
     Both routes run on the copy padded to the widest level (`_padded`). The
     certificate (`_commutes_pairwise`) comes first: if, within each layer,
-    the operators of every two variables commute, the answer is True, for
-    any n and without a 2**n table. Otherwise the sampled check decides:
-    `sample_orders` gives the `trials` orders tried (limits.COMMUTATIVITY_ORDERS
-    by default, as in the lift's gate), and functional equality is checked on
-    all 2**n inputs (n <= limits.COMMUTATIVITY_CAP). The padding
-    rows go to node 0, so a program with unequal level widths may be called
-    non-commutative even though it is order-independent.
+    the operators of every two variables commute on the states that own-order
+    subsequences reach before them, the answer is True, for any n and without
+    a 2**n table. Otherwise the sampled check decides: `sample_orders` gives
+    the `trials` orders tried (limits.COMMUTATIVITY_ORDERS by default, as in
+    the lift's gate), and functional equality is checked on all 2**n inputs
+    (n <= limits.COMMUTATIVITY_CAP). An order-independent program that fails
+    the certificate, say one whose operators commute only on the states its
+    readout cannot tell apart, is decided by the sample.
 
     The sampled check draws and runs the own order and the sampled ones in
     chunks of at most max(1, _CHUNK_ROWS >> n) orders, the memory of one

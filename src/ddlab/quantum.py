@@ -1,7 +1,7 @@
 """Exact state-vector simulation of quantum leveled programs: unitary
 transition pairs selected by input bits, a single end-of-run measurement
-against an accepting subset, bounded-error verdicts for every program kind,
-and the quantum commutativity cap.
+against an accepting subset, and bounded-error verdicts for every program
+kind.
 
 A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
 matrix acting on a column of amplitudes, so it runs on the same engine as the

@@ -200,10 +200,14 @@ def lift(program, layout, mode):
     """The reordering lift of a commutative base program of any kind over
     `layout` (the quantum kind in xor mode only). Refuses a base that fails
     `diagrams.is_commutative` under its defaults, for every kind alike: a base
-    whose operators of distinct variables commute pairwise within each layer
-    passes at any n, and any other base is checked on all 2**n inputs under
+    whose operators of distinct variables commute pairwise within each layer,
+    on the states that own-order subsequences reach, passes at any n (the
+    clamped accumulators `eq_weighted_obdd` and `eq_geometric_pobdd` among
+    them), and any other base is checked on all 2**n inputs under
     limits.COMMUTATIVITY_ORDERS sampled orders, which needs n <=
-    limits.COMMUTATIVITY_CAP."""
+    limits.COMMUTATIVITY_CAP. On an allowed input each layer reads every base
+    variable once, so the gate's every-order guarantee is what makes the
+    lift compute the reordered function there."""
     _check_mode(mode)
     if program.n != layout.q:
         raise ShapeError(

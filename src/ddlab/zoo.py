@@ -409,8 +409,11 @@ def _signed_weight(q, v):
 def eq_weighted_obdd(q):
     """Width 2*2^(q/2)-1 deterministic equality program: a signed accumulator
     adds +2^(i-1) for first-half ones and -2^(i-1) for the matching
-    second-half ones; sinks accept at zero. Every partial sum of the weight
-    multiset stays in range, so the per-variable tables commute."""
+    second-half ones; sinks accept at zero. The accumulator clamps at the
+    range ends, where the per-variable tables do not commute; but every
+    partial sum of the weight multiset stays in range, so they commute on
+    every state that a subset of the variables reaches from the start, and the
+    pairwise certificate of `diagrams.is_commutative` accepts the program."""
     q = int(q)
     if q < 2 or q % 2:
         raise ShapeError("eq program needs an even arity >= 2")

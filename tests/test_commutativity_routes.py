@@ -1,7 +1,9 @@
 """Both commutativity routes against the per-order reference loop.
 
 `is_commutative` first tries the pairwise-commutation certificate
-(`diagrams._commutes_pairwise`); when it fails, the sampled route runs:
+(`diagrams._commutes_pairwise`), which compares two variables' operators only
+on the states that own-order subsequences reach before them; when it fails,
+the sampled route runs:
 `diagrams._permuted_profile` propagates a chunk of variable orders together,
 and each chunk is compared with the program's own order. The reference below
 runs one order at a time: every input goes through the padded program's
@@ -9,7 +11,11 @@ levels in that order with the kind's own `_step`, and the layer-end maps
 stay pinned at layer boundaries. Both routes must give the same outputs,
 exactly for 0/1 outputs and within 1e-12 for acceptance probabilities, and
 the same verdicts; a certified program must be commutative by the reference.
+The all-states pairwise check that the certificate refines is kept here as a
+reference too: whatever it certifies, the certificate must certify.
 """
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +25,7 @@ from ddlab import limits
 from ddlab.boolfn import VarOrder
 from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs,
                             _commutes_pairwise, _padded, _permuted_profile, embed_obdd_as_nobdd,
-                            is_commutative, sample_orders, width)
+                            embed_obdd_as_pobdd, is_commutative, sample_orders, width)
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram
 
@@ -27,12 +33,13 @@ PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qo
                  "eq-qobdd-recombined:8", "pj-2k:1,2", "pj-2k:2,2", "pj-2k:3,2",
                  "rpj-core:1,2", "rpj-core:2,2", "tree:eq:4", "tree:eq:6"]
 
-# the zoo programs that the certificate decides; the clamped accumulators
-# eq-obdd and eq-pobdd, rpj-2k and the binary trees fail it and take the
-# sampled route
-CERTIFIED = {"or-nobdd:4", "or-nobdd:8", "or-nobdd:12", "eq-qobdd:4", "modp-qobdd:3,5",
-             "eq-qobdd-recombined:8", "pj-2k:1,2", "pj-2k:2,2", "pj-2k:3,2", "rpj-core:1,2",
-             "rpj-core:2,2"}
+# the zoo programs that the certificate decides, the clamped accumulators
+# eq-obdd and eq-pobdd among them (their maps differ only on boundary states
+# that no subset of the variables reaches); rpj-2k and the binary trees fail
+# it and take the sampled route
+CERTIFIED = {"eq-obdd:4", "eq-obdd:8", "or-nobdd:4", "or-nobdd:8", "or-nobdd:12", "eq-pobdd:4",
+             "eq-pobdd:8", "eq-qobdd:4", "modp-qobdd:3,5", "eq-qobdd-recombined:8", "pj-2k:1,2",
+             "pj-2k:2,2", "pj-2k:3,2", "rpj-core:1,2", "rpj-core:2,2"}
 
 
 def _reference_profile(padded, perm):
@@ -54,6 +61,25 @@ def _reference_is_commutative(program, trials, seed, tol=limits.TOL):
     baseline = _reference_profile(padded, program.order.perm).astype(np.float64)
     return all(not np.any(np.abs(_reference_profile(padded, perm) - baseline) > tol)
                for perm in sample_orders(program.n, trials, seed))
+
+
+def _reference_commutes_pairwise(padded, tol=limits.TOL):
+    """The all-states pairwise check: within every layer, the operators of
+    every two distinct variables commute on every state, one pair at a time."""
+    n, w = padded.n, padded.widths[0]
+    basis = padded._map_op(np.arange(w), w)
+    for j in range(padded.k):
+        pairs = [padded._pair(j * n + p) for p in range(n)]
+        images = [np.stack([padded._act(basis, op) for op in pair]) for pair in pairs]
+        for a, b in itertools.combinations(range(n), 2):
+            a_first = np.stack([padded._act(images[a], op) for op in pairs[b]])
+            b_first = np.stack([padded._act(images[b], op) for op in pairs[a]]).swapaxes(0, 1)
+            if a_first.dtype.kind in "bi":
+                if not np.array_equal(a_first, b_first):
+                    return False
+            elif np.any(np.abs(a_first - b_first) > tol):
+                return False
+    return True
 
 
 def _certified(program, trials=50, seed=0):
@@ -229,18 +255,172 @@ def test_verdicts_match_the_per_order_loop_on_random_programs(kind):
 
 
 # --------------------------------------------------------------------------
+# the certificate against the all-states check and against every order:
+# seeded programs of every kind, n <= 6, k <= 2, mixed level widths
+
+
+def _core_program(rng, kind):
+    """A program whose operators commute on a core of nodes that holds the
+    start and maps into itself, and act at random on the nodes outside it. In
+    two thirds of the programs one operator is redrawn at random, on the core
+    or across the whole next level; a layer end may leave the core."""
+    n, k, c = int(rng.integers(1, 7)), int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    order = _random_order(rng, n)
+    if kind == "quantum":
+        return _core_quantum(rng, n, k, c, order)
+    widths = [c + int(e) for e in rng.integers(0, 3, size=k * n + 1)]
+    core, redrawn = np.arange(c), int(rng.integers(0, 3 * k * n))
+    steps = []
+    for ell in range(k * n):
+        w, w_next = widths[ell], widths[ell + 1]
+        pair = []
+        for bit in (0, 1):
+            if 2 * ell + bit == redrawn:
+                rows = int(rng.choice([c, w_next]))
+                op = _random_rows(rng, kind, w, rows, w_next)
+            else:
+                op = _random_rows(rng, kind, w, w_next, w_next)
+                if kind == "obdd":
+                    op[:c] = (core + rng.integers(0, c)) % c
+                elif kind == "nobdd":
+                    op[:c] = 0
+                    op[:c, :c] = _circulant(rng, c, rng.random(c) < 0.4) > 0
+                else:
+                    op[:c] = 0
+                    op[:c, :c] = _circulant(rng, c, rng.dirichlet(np.ones(c)))
+            pair.append(op)
+        steps.append(pair)
+    ends = []
+    for j in range(k):
+        w = widths[(j + 1) * n]
+        end = rng.integers(0, w, w)
+        if rng.random() < 0.75:
+            end[:c] = rng.integers(0, c, c)
+        ends.append(None if rng.random() < 0.5 else end)
+    fields = dict(n=n, k=k, order=order, widths=widths, start=0, layer_ends=ends)
+    if kind == "obdd":
+        return LeveledObdd(steps=[np.stack(pair, axis=1) for pair in steps],
+                           sink_values=_some(rng, widths[-1]), **fields)
+    accepting = np.flatnonzero(_some(rng, widths[-1]))
+    if kind == "nobdd":
+        rows = [[tuple(tuple(int(t) for t in np.flatnonzero(op[node])) for op in pair)
+                 for node in range(pair[0].shape[0])] for pair in steps]
+        return Nobdd(steps=rows, accepting=accepting, **fields)
+    return Pobdd(steps=[np.stack(pair, axis=1) for pair in steps], accepting=accepting,
+                 epsilon=0.1, **fields)
+
+
+def _random_rows(rng, kind, w, targets, w_next):
+    """w random rows that reach only the first `targets` of w_next nodes."""
+    if kind == "obdd":
+        return rng.integers(0, targets, w)
+    op = np.zeros((w, w_next), dtype=bool if kind == "nobdd" else np.float64)
+    if kind == "nobdd":
+        op[:, :targets] = rng.random((w, targets)) < 0.4
+    else:
+        op[:, :targets] = rng.dirichlet(np.ones(targets), size=w)
+    return op
+
+
+def _core_quantum(rng, n, k, c, order):
+    """Unitaries block-diagonal on the core (a commuting family) and on the
+    rest (random); the initial state lies in the core."""
+    dim = c + int(rng.integers(2, 4))   # random blocks of size 1 would commute
+    basis, redrawn = _random_unitary(rng, c), int(rng.integers(0, 3 * n))
+    steps = []
+    for v in range(n):
+        pair = []
+        for bit in (0, 1):
+            if 2 * v + bit == redrawn:
+                pair.append(_random_unitary(rng, dim))
+                continue
+            g = np.zeros((dim, dim), dtype=np.complex128)
+            g[:c, :c] = (basis * np.exp(2j * np.pi * rng.random(c))) @ basis.conj().T
+            if dim > c:
+                g[c:, c:] = _random_unitary(rng, dim - c)
+            pair.append(g)
+        steps.append(pair)
+    initial = np.zeros(dim, dtype=np.complex128)
+    initial[:c] = rng.normal(size=c) + 1j * rng.normal(size=c)
+    return QuantumProgram(n=n, dim=dim, order=order, initial=initial / np.linalg.norm(initial),
+                          steps=steps, k=k, accept=1 + np.flatnonzero(_some(rng, dim)))
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_the_certificate_is_sound_and_refines_the_all_states_check(kind):
+    rng = np.random.default_rng(100 + sorted(RANDOM_KINDS).index(kind))
+    seen = {(True, True): 0, (True, False): 0, (False, False): 0}
+    for case in range(60):
+        program = _core_program(rng, kind)
+        padded = _padded(program)
+        certified = _commutes_pairwise(padded, limits.TOL)
+        by_reference = _reference_commutes_pairwise(padded)
+        assert certified or not by_reference, case
+        seen[certified, by_reference] += 1
+        if certified:   # then all n! orders give the own order's outputs
+            own = _reference_profile(padded, program.order.perm)
+            for perm in itertools.permutations(range(1, program.n + 1)):
+                np.testing.assert_allclose(_reference_profile(padded, perm), own,
+                                           rtol=0, atol=limits.TOL, err_msg=str(case))
+    # every outcome occurs, and at least half the certified programs fail the all-states check
+    assert min(seen.values()) >= 3
+    assert seen[True, False] >= seen[True, True]
+
+
+# --------------------------------------------------------------------------
+# batching: O(k*n) products per certificate, not one per pair of variables
+
+
+def test_the_certificate_batches_its_products(monkeypatch):
+    program = parse_program_spec("pj-2k:2,4")
+    padded = _padded(program)
+    act, calls = type(padded)._act, []
+
+    def counted(self, states, op):
+        calls.append(op.shape)
+        return act(self, states, op)
+
+    monkeypatch.setattr(type(padded), "_act", counted)
+    assert _commutes_pairwise(padded, limits.TOL)
+    k, n = program.k, program.n
+    assert (k, n) == (4, 24)
+    assert 0 < len(calls) <= 4 * k * n < 4 * k * math.comb(n, 2)
+
+
+# --------------------------------------------------------------------------
 # memory: a chunk spans at most _CHUNK_ROWS (order, input) rows
 
 
-# eq-obdd:12 embedded as an Nobdd is a clamped accumulator: it fails the
-# certificate, so the nobdd fallback runs; or-nobdd:12 and pj-2k:3,2 certify
-@pytest.mark.parametrize("spec, trials", [("eq-pobdd:8", 200), ("eq-pobdd:12", 4),
-                                          ("eq-obdd:12 as nobdd", 200), ("or-nobdd:12", 200),
-                                          ("pj-2k:3,2", 200)])
+def _tagged_counter(n):
+    """A mod-3 counter of the ones read, tagged with the last variable that
+    read a one (node 3*tag + count); the readout ignores the tag. Every order
+    gives the same count, but the bit-1 maps of two variables leave different
+    tags on every state, so the certificate fails and the sample decides."""
+    w = 3 * (n + 1)
+    node = np.arange(w)
+    steps = [np.stack([node, 3 * v + (node + 1) % 3], axis=1) for v in range(1, n + 1)]
+    return LeveledObdd(n=n, k=1, order=VarOrder.identity(n), widths=[w] * (n + 1), start=0,
+                       steps=steps, sink_values=(node % 3 == 0).astype(np.uint8))
+
+
+def _budget_program(spec):
+    name, _, kind = spec.partition(" as ")
+    if name.startswith("tagged:"):
+        program = _tagged_counter(int(name.split(":")[1]))
+    else:
+        program = parse_program_spec(name)
+    embed = {"": lambda p: p, "nobdd": embed_obdd_as_nobdd, "pobdd": embed_obdd_as_pobdd}
+    return embed[kind](program)
+
+
+# the tagged counters fail the certificate, so the fallback runs every chunk
+# of orders of a commutative program; or-nobdd:12 and pj-2k:3,2 certify
+@pytest.mark.parametrize("spec, trials", [("tagged:8", 200), ("tagged:12", 50),
+                                          ("tagged:8 as nobdd", 200), ("tagged:12 as nobdd", 50),
+                                          ("tagged:8 as pobdd", 200), ("tagged:12 as pobdd", 50),
+                                          ("or-nobdd:12", 200), ("pj-2k:3,2", 200)])
 def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
-    program = parse_program_spec(spec.split()[0])
-    if spec.endswith("as nobdd"):
-        program = embed_obdd_as_nobdd(program)
+    program = _budget_program(spec)
     padded = _padded(program)
     state_bytes = _CHUNK_ROWS * width(program) * padded._first(1).dtype.itemsize
     operator_bytes = sum(op.nbytes for pair in padded.steps for op in pair)

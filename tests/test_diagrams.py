@@ -129,6 +129,20 @@ def test_per_input_step_equals_the_dense_product(support):
                                dist @ stochastic, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("states, ops", [((5, 7), (7, 4)), ((600, 7), (7, 4)),
+                                         ((3, 1, 5, 7), (1, 2, 7, 4)), ((2, 600, 7), (2, 7, 4)),
+                                         ((1, 1, 2, 9, 6), (7, 2, 1, 6, 6)),
+                                         ((3, 40, 300), (3, 300, 20)), ((4, 2, 0, 7), (2, 7, 3))])
+def test_boolean_product_equals_the_integer_product(states, ops):
+    # stacks of operators broadcast against stacks of states, as the
+    # commutativity certificate uses them, and large ones go in blocks of rows
+    rng = np.random.default_rng(sum(states) + sum(ops))
+    reached, relation = rng.random(states) < 0.3, rng.random(ops) < 0.3
+    product = or_guess_nobdd(2)._act(reached, relation)
+    expected = (reached.astype(np.int64) @ relation.astype(np.int64)) > 0
+    assert product.dtype == bool and np.array_equal(product, expected)
+
+
 def test_pobdd_rows_must_be_stochastic():
     good = np.array([0.5, 0.5])
     with pytest.raises(StructuralError):

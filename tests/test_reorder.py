@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder, evaluate
-from ddlab.diagrams import acceptance_table, build_binary_tree_obdd, function_of, width
+from ddlab.diagrams import (acceptance_table, build_binary_tree_obdd, eval_obdd, function_of,
+                            width)
 from ddlab.errors import CommutativityError, ConsistencyError, ShapeError
 from ddlab.fixtures import eq_multipliers
 from ddlab.quantum import (QuantumProgram, accept_probability, check_unitary)
-from ddlab.reorder import (BlockLayout, allowed_input_indexes, reorder_function,
+from ddlab.reorder import (BlockLayout, allowed_input_indexes, lift, reorder_function,
                            reorder_nobdd, reorder_obdd, reorder_pobdd, totalize,
                            xor_reorder_qobdd)
 from ddlab.zoo import (eq, eq_geometric_pobdd, eq_weighted_obdd, fingerprint_eq_qobdd,
@@ -230,6 +231,29 @@ def test_obdd_lift_width_and_function(q, mode):
     table = function_of(lifted).table
     for idx in allowed_input_indexes(layout, mode):
         assert table[idx] == fp.values[idx]
+
+
+def test_the_clamped_accumulator_lifts_at_q16():
+    # n = 80 has no truth table: the gate is the certificate alone, and the
+    # lift is checked on seeded allowed inputs against the arranged halves
+    layout = BlockLayout(16)
+    base = eq_weighted_obdd(16)
+    lifted = lift(base, layout, "xor")
+    assert (lifted.n, width(lifted)) == (80, 16 * width(base))
+    rng = np.random.default_rng(16)
+    outputs = []
+    for row in range(16):
+        arranged = rng.integers(0, 2, 16)
+        if row % 2:
+            arranged[8:] = arranged[:8]
+        addresses = rng.permutation(16)
+        x = layout.assemble_input(addresses, arranged[addresses], "xor")
+        addr, vals = layout.decode([x], "xor")
+        decoded = np.zeros(16, dtype=np.int64)
+        decoded[addr[0]] = vals[0]
+        outputs.append(eval_obdd(lifted, x))
+        assert outputs[-1] == int(np.array_equal(decoded[:8], decoded[8:]))
+    assert 0 < sum(outputs) < 16
 
 
 @pytest.mark.parametrize("mode", ["direct", "xor"])
