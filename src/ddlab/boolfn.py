@@ -339,11 +339,12 @@ def _max_conflict_clique(mask_rows, val_rows, floor=0):
     # ones[i] @ zeros[j] counts the columns where row i is 1 and row j a defined 0
     ones = val_rows.astype(np.float64)
     zeros = mask_rows.astype(np.float64) - ones
-    adj = []
-    for lo in range(0, d, 256):
-        conflict = (ones[lo:lo + 256] @ zeros.T + zeros[lo:lo + 256] @ ones.T) > 0
-        for row in np.packbits(conflict, axis=1, bitorder="little"):
-            adj.append(int.from_bytes(row.tobytes(), "little"))
+    conflict = np.concatenate([(ones[lo:lo + 256] @ zeros.T + zeros[lo:lo + 256] @ ones.T) > 0
+                               for lo in range(0, d, 256)])
+    # one buffer of little-endian bitset rows, cut into one int per row
+    stride = (d + 7) // 8
+    buf = np.packbits(conflict, axis=1, bitorder="little").tobytes()
+    adj = [int.from_bytes(buf[lo:lo + stride], "little") for lo in range(0, d * stride, stride)]
     best = max(1, floor)
 
     def expand(size, cand):
@@ -402,7 +403,7 @@ def require_enumerable(f):
 def n_min(f, strategy="auto"):
     """Exact minimum over all variable orders of n_pi(f, order).
 
-    Strategies: "auto" runs the lazy best-first bottleneck search below (total
+    Strategies: "auto" runs the best-first bottleneck search below (total
     and partial functions alike); "enum" forces the n! enumeration (n <= limits.ENUM_CAP),
     used as a cross-check. The enumeration costs each of the 2**n - 2 proper
     non-empty prefix sets once with `_count_for_varset`, independently of the
@@ -410,19 +411,29 @@ def n_min(f, strategy="auto"):
     table, a block of (n-1)! orders at a time.
 
     The search is the Friedman & Supowit subset DP (IEEE Trans. Computers
-    39(5), 1990) evaluated lazily. A node is a prefix set S of variables; its
-    cost is the subfunction count of the cut after S, and the width of an
+    39(5), 1990) evaluated best-first. A node is a prefix set S of variables;
+    its cost is the subfunction count of the cut after S, and the width of an
     order is the largest cost on its chain of prefix sets. The search keeps
     the distinct cofactors of S as bit-packed rows: the rows of S + {v} are
     the deduplicated v=0 and v=1 halves of the rows of S, so a cost is built
     from its parent's rows instead of from the table. For a total function
     the cost is the number of rows; for a partial one a row is a
     (defined, value) pair and the cost is the largest set of pairwise
-    conflicting rows. Every order has a first and a last cut, so the cheapest
-    first cut and the cheapest last cut both bound the answer from below; LB
-    is the larger of the two. Sets are expanded in the order of
-    (max(bottleneck, LB), -|S|): once the search reaches the bound it goes
-    depth first. A set's rows are dropped once it has been expanded.
+    conflicting rows, searched for only when the row count exceeds the key.
+    Every order has a last cut, so every key starts from the cheapest last
+    cut, read from the table in one pass; the first cuts come from the
+    root's expansion.
+
+    A set's key is the largest cost on the way to it. Sets of equal key and
+    size form a group, and the group with the smallest (key, -|S|) pops
+    next, so a search that has reached its bound goes depth first. The
+    first pop of a group takes its newest set alone; later pops take its
+    sets newest first until their children's rows would exceed
+    `limits.SEARCH_BATCH_CELLS` unpacked cells, and `_split_rows` costs all
+    new children of the batch at once. Popped keys never decrease, so the
+    first time a set is reached gives its smallest key: a `seen` mask keeps
+    later parents out, and the first parent is kept for the witness order.
+    A set's rows are dropped once it has been expanded.
     """
     n = f.n
     if strategy not in ("auto", "enum"):
@@ -448,96 +459,170 @@ def n_min(f, strategy="auto"):
         return min(best)
     limits.check(n, limits.DP_CAP, "n of the min-width search")
     if isinstance(f, BoolFn):
-        return _bottleneck_search((f.table,), n, lambda rows, floor: rows.shape[0])
+        return _bottleneck_search((f.table,), n)[0]
     return _n_min_partial(f)
 
 
 def _n_min_partial(f):
     """The bottleneck search of a partial function: cut costs are conflict cliques."""
-    return _bottleneck_search((f.defined, f.values), f.n, _clique_cost)
+    return _bottleneck_search((f.defined, f.values), f.n)[0]
+
+
+def _min_width_order(f):
+    """(n_min(f), an order whose n_pi attains it), from the search."""
+    if f.n == 1:
+        return 1, VarOrder.identity(1)
+    limits.check(f.n, limits.DP_CAP, "n of the min-width search")
+    planes = (f.table,) if isinstance(f, BoolFn) else (f.defined, f.values)
+    return _bottleneck_search(planes, f.n)
 
 
 def _clique_cost(rows, floor):
     return _max_conflict_clique(rows[:, 0], rows[:, 1], floor)
 
 
-def _cofactors(planes, n, left_vars):
-    """Rows of the (left variables) x (other variables) matrix of each plane.
+def _last_cut_costs(planes, n):
+    """Cost of every last cut, all variables but x_v, per v, from the table.
 
-    Shape (2**u, planes, 2**(n-u)); columns list the other variables in
-    increasing order, the lowest-numbered one most significant.
+    A row of such a cut has two columns (x_v = 0 and 1). A column's code
+    holds its bit in each plane, so a row is one of 4**planes pair codes, and
+    the distinct rows are the pair codes present.
     """
     c = planes.shape[0]
-    right = [v for v in range(1, n + 1) if v not in left_vars]
-    cube = planes.reshape((c,) + (2,) * n).transpose([0] + list(left_vars) + right)
-    return cube.reshape(c, 1 << len(left_vars), -1).transpose(1, 0, 2)
+    col = np.zeros(1 << n, dtype=np.uint8)
+    for j, plane in enumerate(planes):
+        col |= plane << j
+    shifts = np.arange(c)[:, None] + np.array([c, 0])   # (plane, column) bit of a pair code
+    costs = []
+    for v in range(1, n + 1):
+        halves = col.reshape(1 << (v - 1), 2, -1)
+        present = np.flatnonzero(np.bincount((halves[:, 0] << c | halves[:, 1]).ravel()))
+        costs.append(len(present) if c == 1 else
+                     _clique_cost((present[:, None, None] >> shifts) & 1, 0))
+    return costs
 
 
-def _distinct(rows):
-    """The distinct rows of a (d, planes, w) bit array, unpacked and bit-packed."""
-    d = rows.shape[0]
-    packed = np.ascontiguousarray(np.packbits(rows.reshape(d, -1), axis=1))
-    if d > 1:
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, keep = np.unique(keys, return_index=True)
-        rows, packed = rows[keep], packed[keep]
-    return rows, packed
+def _bottleneck_search(planes, n):
+    """Best-first search for min over orders of max over cut costs, and an order attaining it.
 
-
-def _bottleneck_search(planes, n, cost):
-    """Lazy best-first search for min over orders of max over cuts of cost(rows).
-
-    `planes` are the truth-table bit vectors (the table, or the defined mask and
-    the values). `cost(rows, floor)` maps the distinct cofactor rows of a prefix
-    set, shaped (rows, planes, columns), to its cut cost; when that cost is at
-    most `floor` it may return any value up to `floor` instead.
+    `planes` are the truth-table bit vectors: the table of a total function,
+    or the defined mask and the values of a partial one. Needs n >= 2.
+    Returns (width, VarOrder).
     """
     planes = np.stack(planes)
     c = planes.shape[0]
     full = (1 << n) - 1
-    bits = [1 << (n - v) for v in range(1, n + 1)]
-    packed = {}   # prefix set -> packed distinct rows, until it is expanded
-    costs = {}    # prefix set -> cost, or max(cost, key of the set that first reached it)
-
-    # The first and last cuts, from the table.
-    for v in range(1, n + 1):
-        for left in ((v,), tuple(u for u in range(1, n + 1) if u != v)):
-            rows, packed_rows = _distinct(_cofactors(planes, n, left))
-            mask = sum(bits[u - 1] for u in left)
-            packed[mask] = packed_rows
-            costs[mask] = cost(rows, 0)
-    lb = max(min(costs[b] for b in bits), min(costs[full ^ b] for b in bits))
-
-    packed[0] = np.packbits(planes.reshape(1, -1), axis=1)
-    best = {0: lb}
-    heap = [(lb, 0, 0)]
-    while heap:
-        key, neg_size, mask = heapq.heappop(heap)
-        if mask == full:
-            return max(key, 1)
-        if key > best[mask]:
+    bits = np.array([1 << (n - v) for v in range(1, n + 1)], dtype=np.int64)
+    last = np.zeros(1 << n, dtype=np.int32)   # cost of each last cut, by mask
+    last[full ^ bits] = _last_cut_costs(planes, n)
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[0] = True
+    parent = np.zeros(1 << n, dtype=np.int32)   # the set that first reached each set
+    packed = {0: np.packbits(planes.reshape(1, -1), axis=1)}   # until a set is expanded
+    lb = int(last[full ^ bits].min())
+    groups = {(lb, 0): [0]}   # (key, -|S|) -> sets, popped last in first out
+    heap = [(lb, 0)]
+    probed = set()
+    while True:
+        group_key = heap[0]
+        key, neg_size = group_key
+        group = groups[group_key]
+        m = n + neg_size   # free variables of each set in the group
+        if m == 1:
+            return key, _chain_order(parent, group[-1], n)
+        # The first pop of a group probes depth first with one set; later pops
+        # take sets until their children's unpacked rows would pass the bound.
+        batch, cells = [], 0
+        while group and (not batch or group_key in probed):
+            if m > 2:   # below a set with two free variables lie only last cuts
+                cells += m * len(packed[group[-1]]) * c << m
+                if batch and cells > limits.SEARCH_BATCH_CELLS:
+                    break
+            batch.append(group.pop())
+        probed.add(group_key)
+        if not group:
+            heapq.heappop(heap)
+            del groups[group_key]
+        sets = np.array(batch, dtype=np.int64)
+        free = (sets[:, None] & bits) == 0
+        reached = sets[:, None] | bits
+        which, var = np.nonzero(free & ~seen[reached])
+        children, first = np.unique(reached[which, var], return_index=True)
+        which, var = which[first], var[first]
+        seen[children] = True
+        parent[children] = sets[which]
+        rows = [packed.pop(s) for s in batch] if m > 2 else None
+        if not len(children):
             continue
-        m = n + neg_size
-        rows = np.unpackbits(packed.pop(mask), axis=1, count=c << m)
-        rows = rows.reshape(-1, c, 1 << m)
-        d = rows.shape[0]
-        free = [v for v in range(1, n + 1) if not mask & bits[v - 1]]
-        for a, v in enumerate(free):
-            child = mask | bits[v - 1]
-            child_cost = costs.get(child)
-            if child_cost is None:
-                if child == full:
-                    child_cost = 1
-                else:
-                    halves = rows.reshape(d, c, 1 << a, 2, 1 << (m - 1 - a))
-                    halves = np.concatenate((halves[:, :, :, 0], halves[:, :, :, 1]))
-                    child_rows, packed[child] = _distinct(halves.reshape(2 * d, c, -1))
-                    # Sets still to be expanded pop with keys >= key, so a
-                    # cost at most key may be recorded as key.
-                    child_cost = max(cost(child_rows, key), key)
-                costs[child] = child_cost
-            child_key = max(key, child_cost)
-            if child_key < best.get(child, child_key + 1):
-                best[child] = child_key
-                heapq.heappush(heap, (child_key, neg_size - 1, child))
-    raise AssertionError("subset search must reach the full set")
+        if m == 2:
+            costs = last[children]
+        else:
+            # Child i splits the rows of its parent at the rank of its variable
+            # among the parent's free variables.
+            ranks = (np.cumsum(free, axis=1) - free)[which, var]
+            costs = _split_rows(rows, which, ranks, children, m, c, key, packed)
+        child_keys = np.maximum(costs, key)
+        for k in np.unique(child_keys).tolist():
+            target = (k, neg_size - 1)
+            if target not in groups:
+                groups[target] = []
+                heapq.heappush(heap, target)
+            groups[target].extend(children[child_keys == k].tolist())
+
+
+def _chain_order(parent, final, n):
+    """The order that reaches the (n-1)-set `final` along first parents, then the last variable."""
+    order = [n + 1 - (((1 << n) - 1) ^ final).bit_length()]
+    while final:
+        order.append(n + 1 - (final ^ int(parent[final])).bit_length())
+        final = int(parent[final])
+    return VarOrder(order[::-1])
+
+
+def _split_rows(rows, which, ranks, children, m, c, floor, packed):
+    """Distinct rows and costs of the children of a batch of sets, in one pass.
+
+    `rows` are the packed distinct rows of the batch's sets, each shaped
+    (rows, c planes x 2**m columns), the columns listing the set's free
+    variables lowest-numbered first; child i comes from set `which[i]` by
+    fixing the free variable of rank `ranks[i]`. Each child's two halves are
+    gathered into one array, and one unique over (child, packed row) keys
+    deduplicates them all. Stores the packed rows of every child that will
+    need them in `packed`, and returns the costs; a cost at most `floor` may
+    be returned as any value up to `floor`.
+    """
+    depth = np.array([len(r) for r in rows])
+    offsets = np.cumsum(depth) - depth
+    # the packed parent rows of every child, children grouped by rank
+    by_rank = np.argsort(ranks, kind="stable")
+    lens = depth[which[by_rank]]
+    ends = np.cumsum(lens)
+    idx = np.repeat(offsets[which[by_rank]] - ends + lens, lens) + np.arange(ends[-1])
+    table = np.unpackbits(np.concatenate(rows)[idx], axis=1, count=c << m)
+    # the v=0 halves of all children, then the v=1 halves, one reshape per rank
+    halves = np.empty((2, len(table), c << (m - 1)), dtype=np.uint8)
+    rank_ends = np.concatenate(([0], ends))[np.cumsum(np.bincount(ranks, minlength=m))]
+    lo = 0
+    for a, hi in enumerate(rank_ends.tolist()):
+        if hi > lo:
+            split = table[lo:hi].reshape(hi - lo, c, 1 << a, 2, -1)
+            halves[:, lo:hi].reshape(2, hi - lo, c, 1 << a, -1)[...] = split.transpose(3, 0, 1, 2, 4)
+        lo = hi
+    body = np.packbits(halves, axis=2)
+    width = body.shape[2] + 4
+    keys = np.empty((2, len(table), width), dtype=np.uint8)
+    keys[:, :, :4].view(">u4")[..., 0] = np.repeat(by_rank, lens)
+    keys[:, :, 4:] = body
+    distinct = np.unique(keys.view(np.dtype((np.void, width))).ravel()).view(np.uint8)
+    distinct = distinct.reshape(-1, width)
+    costs = np.bincount(distinct[:, :4].copy().view(">u4").ravel(), minlength=len(children))
+    distinct = distinct[:, 4:]
+    stops = np.cumsum(costs).tolist()
+    for i, (child, count) in enumerate(zip(children.tolist(), costs.tolist())):
+        child_rows = distinct[stops[i] - count:stops[i]]
+        if m > 3:   # below a set with two free variables lie only last cuts
+            packed[child] = child_rows
+        if c == 2 and count > floor:   # the row count bounds the clique
+            unpacked = np.unpackbits(child_rows, axis=1, count=c << (m - 1))
+            costs[i] = _clique_cost(unpacked.reshape(count, c, 1 << (m - 1)), floor)
+    return costs

@@ -1,5 +1,5 @@
-"""Every cap, tolerance and sampling constant of ddlab, and the checks that
-enforce the caps.
+"""Every cap, tolerance, sampling and batch-size constant of ddlab, and the
+checks that enforce the caps.
 
 The caps keep ddlab at desk scale. A request above one raises
 `CapacityError` (CLI exit code 3) before the memory it would need is
@@ -26,6 +26,7 @@ EXACT_TOL = 1e-12  # the initial quantum state's norm, multiplier-search targets
 
 EXHAUSTIVE_PERM_CAP = 5       # up to this n, commutativity is checked on all n! orders
 COMMUTATIVITY_ORDERS = 200    # orders `is_commutative` (and so the lift's gate) samples
+SEARCH_BATCH_CELLS = 1 << 20  # unpacked child-row cells of a multi-set batch of the width search
 
 
 def check(value, cap, what):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlab import boolfn
+from ddlab import boolfn, limits
 from ddlab.boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, _count_for_varset,
                           evaluate, n_min, n_pi, restrict, subfunction_count)
 from ddlab.errors import CapacityError, ShapeError
+from ddlab.experiments import parse_function_spec
 from ddlab.kernels import all_subset_costs
+from ddlab.reorder import BlockLayout, reorder_function
 from ddlab.zoo import eq, mod_p, ws
 
 
@@ -186,6 +188,7 @@ def _biased_bits(rnd, size, density):
 def test_n_min_dp_matches_enumeration(n, density, rnd):
     f = BoolFn(n, _biased_bits(rnd, 1 << n, density))
     assert n_min(f, strategy="auto") == n_min(f, strategy="enum")
+    _assert_witness_attains(f)
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,6 +198,18 @@ def test_n_min_partial_dp_matches_enumeration(n, density, rnd):
     values = [rnd.randint(0, 1) & d for d in defined]
     fp = PartialBoolFn(n, defined, values)
     assert n_min(fp, strategy="auto") == n_min(fp, strategy="enum")
+    _assert_witness_attains(fp)
+
+
+def _assert_witness_attains(f):
+    width, order = boolfn._min_width_order(f)
+    assert width == n_min(f)
+    assert n_pi(f, order) == width
+
+
+@pytest.mark.parametrize("spec", ["rpj:1,2", "req:4", "ws:10", "eq:10"])
+def test_the_search_witness_order_attains_n_min(spec):
+    _assert_witness_attains(parse_function_spec(spec))
 
 
 def test_n_min_enumeration_matches_its_definition():
@@ -243,22 +258,62 @@ def test_n_min_enumeration_costs_each_proper_prefix_set_once(monkeypatch):
         assert all(0 < len(left) < n for left in costed)
 
 
-@pytest.mark.parametrize("n", (9, 10, 11))
-def test_n_min_matches_the_lattice_dp_beyond_enumeration(n):
+def _seeded_total(n):
     rng = np.random.default_rng(900 + n)
     for density in (0.5, 0.1, 0.02):
-        f = BoolFn(n, (rng.random(1 << n) < density).astype(np.uint8))
+        yield BoolFn(n, (rng.random(1 << n) < density).astype(np.uint8))
+
+
+def _seeded_partial(n):
+    rng = np.random.default_rng(950 + n)
+    for density in (0.3, 0.05):
+        defined = (rng.random(1 << n) < density).astype(np.uint8)
+        values = rng.integers(0, 2, size=1 << n).astype(np.uint8)
+        yield PartialBoolFn(n, defined, values)
+
+
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_n_min_matches_the_lattice_dp_beyond_enumeration(n):
+    for f in _seeded_total(n):
         assert n_min(f) == _bottleneck_dp(all_subset_costs(f.table, n), n)
 
 
 @pytest.mark.parametrize("n", (9, 10))
 def test_n_min_partial_matches_the_from_scratch_search_beyond_enumeration(n):
-    rng = np.random.default_rng(950 + n)
-    for density in (0.3, 0.05):
-        defined = (rng.random(1 << n) < density).astype(np.uint8)
-        values = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-        fp = PartialBoolFn(n, defined, values)
+    for fp in _seeded_partial(n):
         assert n_min(fp) == _n_min_partial_reference(fp)
+
+
+def test_n_min_does_not_depend_on_the_batch_bound(monkeypatch):
+    functions = [f for n in (9, 10, 11) for f in _seeded_total(n)]
+    functions += [f for n in (9, 10) for f in _seeded_partial(n)]
+    widths = [n_min(f) for f in functions]
+    monkeypatch.setattr(limits, "SEARCH_BATCH_CELLS", 1)   # one set per batch
+    assert [n_min(f) for f in functions] == widths
+
+
+@pytest.mark.parametrize("spec, width", [("wsb:14,10", 53), ("mswb:14,14", 31), ("reqb:14,12", 8)])
+def test_n_min_of_padded_families_at_n_14(spec, width):
+    assert n_min(parse_function_spec(spec)) == width
+
+
+def _search_peak(f):
+    n_min(ws(3))   # numpy's lazy imports stay outside the trace
+    tracemalloc.start()
+    try:
+        n_min(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_n_min_search_memory_is_bounded_by_the_batch_cells():
+    # A batch unpacks at most SEARCH_BATCH_CELLS one-byte cells of child rows
+    # plus as many of gathered parent rows; the rest is O(2**n) bookkeeping.
+    # Without the bound the partial instance peaks near 4 MiB.
+    assert _search_peak(eq(16)) <= 4 << 20
+    assert _search_peak(reorder_function(eq(4), BlockLayout(4), "xor")) <= 3 << 20
 
 
 def test_n_min_closed_forms_at_n_14_and_16():
