@@ -60,12 +60,6 @@ class VarOrder:
     def n(self):
         return len(self.perm)
 
-    def inverse(self):
-        inv = [0] * self.n
-        for pos, var in enumerate(self.perm, start=1):
-            inv[var - 1] = pos
-        return VarOrder(inv)
-
     def position_of(self, var):
         """1-indexed position at which variable `var` is read."""
         return self.perm.index(var) + 1

@@ -31,12 +31,10 @@ The commutativity check has two routes. The certificate
 two distinct variables must commute on the states that some order can meet
 them in, found by one reachability scan per layer. It takes O(k*n) batched
 operator products and no 2**n table. A program that fails it goes to the
-sampled route, which runs a chunk of sampled orders at once over a prefix
-trie (`_permuted_profile`): in the first layer an order's state after ell
-levels has only the 2**ell rows of the bits read so far, and each level
-gathers, per order, its variable's operators from a per-layer stack. A chunk
-spans at most `_CHUNK_ROWS` (order, input) rows; the check returns False
-after the first chunk in which an order differs.
+sampled route: each sampled order gives a program that reads the variables
+in that order with their own operators (`_reordered`), and its whole table
+(`_permuted_profile`) is compared with the program's own; the check returns
+False at the first order that differs.
 
 Conventions:
   * `layer_ends` is an optional per-layer endomap applied to the node reached
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 
 import numpy as np
@@ -449,7 +446,7 @@ def _padded(program):
     can be applied in any order. Rows of padded nodes go to node 0. The
     certificate compares only the rows that own-order subsequences reach, so
     a padded row matters only when skipping levels lands on it; the sampled
-    route runs every order on every input, padded rows included."""
+    route reads every input in each order, padded rows included."""
     w = width(program)
     if all(x == w for x in program.widths):
         return program
@@ -485,26 +482,25 @@ def propagate(program, bits):
     return np.concatenate(out)
 
 
-def _in_table_order(outputs, perms):
-    """Outputs of the orders `perms` (rows of 0-based variables), in which
-    bit ell of order t's row number is the bit read at level ell, as one row
-    per order in truth-table order."""
-    t, n = perms.shape
-    # order t's output on input i: flat index t * 2**n + sum(2**level(v) for v set in i)
-    weight, h = 1 << np.argsort(perms, axis=1), n // 2
-    high = (_all_inputs(h) @ weight[:, :h].T).T + (np.arange(t) << n)[:, None]
-    low = _all_inputs(n - h) @ weight[:, h:].T
-    return outputs.ravel()[(high[:, :, None] + low.T[:, None, :]).reshape(t, -1)]
+def _in_table_order(outputs, perm):
+    """Outputs of a program reading its variables in order `perm` (0-based),
+    in which bit ell of the row number is the bit read at level ell, in
+    truth-table order."""
+    n = perm.shape[0]
+    # the output on input i is at row sum(2**level(v) for v set in i)
+    weight, h = 1 << np.argsort(perm), n // 2
+    high, low = _all_inputs(h) @ weight[:h], _all_inputs(n - h) @ weight[h:]
+    return outputs[(high[:, None] + low).ravel()]
 
 
 def _whole_table(program):
     """Output of any program kind on every input, in truth-table order: what
     `propagate` gives on all 2**n inputs, from one prefix-trie pass in the
     program's own order. Bit ell of a state's row number is the bit read at
-    level ell of a layer, as in `_permuted_profile`. The first layer's first
-    c = log2(_CHUNK_ROWS) levels map the trie through both operators, with
-    the new bit on top; the bits read at later levels are fixed per block of
-    2**c rows, so at most _CHUNK_ROWS state rows are computed at a time."""
+    level ell of a layer. The first layer's first c = log2(_CHUNK_ROWS)
+    levels map the trie through both operators, with the new bit on top; the
+    bits read at later levels are fixed per block of 2**c rows, so at most
+    _CHUNK_ROWS state rows are computed at a time."""
     n = program.n
     limits.check(n, limits.TABLE_CAP, "n of a 2**n table")
     c = min(n, _CHUNK_ROWS.bit_length() - 1)
@@ -524,7 +520,7 @@ def _whole_table(program):
             if pos == n - 1 and program.layer_ends[ell // n] is not None:
                 states = program._end(states, program.layer_ends[ell // n])
         out.append(program._readout(states))
-    return _in_table_order(np.concatenate(out), np.array([program.order.perm]) - 1)[0]
+    return _in_table_order(np.concatenate(out), np.array(program.order.perm) - 1)
 
 
 def rounded_table(program):
@@ -603,31 +599,22 @@ def build_binary_tree_obdd(f, live=None):
     )
 
 
-def _permuted_profile(padded, perms):
-    """Output of the padded program on every input, in truth-table order, with
-    its variables read in each order of `perms` instead: one row per order.
+def _reordered(padded, order):
+    """The padded program reading its variables in `order`, each with its own
+    operators in every layer; the layer ends stay pinned. A quantum program
+    is its own padded copy."""
+    n, order = padded.n, _norm_order(order, padded.n)
+    position = {v: p for p, v in enumerate(padded.order.perm)}
+    # a quantum program stores one layer of pairs, which every layer repeats
+    layers = range(0, len(padded.steps), n)
+    steps = [padded.steps[j + position[v]] for j in layers for v in order.perm]
+    return padded._rebuilt(order=order, steps=steps)
 
-    Bit ell of a state's row number is the bit read at level ell of a layer:
-    the first layer adds each level's bit as the new top bit, and later ones
-    read bit 0 and rotate it to the top, back in place at each layer end."""
-    n, perms = padded.n, np.asarray(perms, dtype=np.int64) - 1
-    t = perms.shape[0]
-    position = sorted(range(n), key=padded.order.perm.__getitem__)
-    states = padded._first(t)[:, None]
-    rest = states.shape[2:]
-    offsets = np.arange(2 * t).reshape(t, 2, 1) * padded.widths[0]   # of the (order, bit) maps
-    for j in range(padded.k):
-        stack = np.array([padded._pair(j * n + p) for p in position])
-        read = (t, -1, 1 if j == 0 else 2) + rest
-        for var in perms.T:
-            view = states.reshape(read).swapaxes(1, 2)
-            if padded._MATRIX:
-                states = padded._act(view, stack[var]).reshape((t, -1) + rest)
-            else:
-                states = stack[var].ravel()[view + offsets].reshape(t, -1)
-        if padded.layer_ends[j] is not None:
-            states = padded._end(states, padded.layer_ends[j])
-    return _in_table_order(padded._readout(states), perms)
+
+def _permuted_profile(padded, perm):
+    """Output of the padded program on every input, in truth-table order, with
+    its variables read in order `perm` instead."""
+    return _whole_table(_reordered(padded, perm))
 
 
 def sample_orders(n, trials, seed):
@@ -747,11 +734,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     the certificate, say one whose operators commute only on the states its
     readout cannot tell apart, is decided by the sample.
 
-    The sampled check draws and runs the own order and the sampled ones in
-    chunks of at most max(1, _CHUNK_ROWS >> n) orders, the memory of one
-    `propagate` chunk: up to three in the first, then at most three times
-    all before, so an early difference is found after little work. Fewer
-    than one trial is refused with `ShapeError`.
+    The sampled check runs the whole-table pass once in the own order and
+    once per sampled order, and returns False at the first order that
+    differs. Fewer than one trial is refused with `ShapeError`.
     """
     if trials < 1:
         raise ShapeError("is_commutative needs at least one trial, got %r" % (trials,))
@@ -760,16 +745,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     if _commutes_pairwise(padded, tol):
         return True
     limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
-    orders = itertools.chain([program.order.perm], _orders(n, trials, seed))
-    budget, done = max(1, _CHUNK_ROWS >> n), 0
-    while chunk := list(itertools.islice(orders, min(budget, 3 * max(done, 1)))):
-        profiles = _permuted_profile(padded, chunk)
-        if not done:
-            baseline = profiles[0]
-        if np.any(np.abs(profiles - baseline.astype(np.float64)) > tol):
-            return False
-        done += len(chunk)
-    return True
+    baseline = _whole_table(padded).astype(np.float64)
+    return not any(np.any(np.abs(_permuted_profile(padded, perm) - baseline) > tol)
+                   for perm in _orders(n, trials, seed))
 
 
 def _embedded(program, kind, **fields):

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import limits
 from .boolfn import BoolFn, PartialBoolFn, VarOrder
-from .diagrams import (LeveledProgram, _evaluate, _norm_order, _whole_table, index_bits,
-                       is_commutative, propagate)
+from .diagrams import (LeveledProgram, _evaluate, _norm_order, _reordered, _whole_table,
+                       index_bits, is_commutative, propagate)
 from .errors import ShapeError, StructuralError
 
 
@@ -55,6 +55,7 @@ class QuantumProgram(LeveledProgram):
     transposes of the classical row-vector ones."""
 
     __slots__ = ("dim", "initial", "accept")
+    _FIELDS = ("n", "dim", "order", "initial", "steps", "accept", "k")
 
     def __init__(self, n, dim, order, initial, steps, accept, k=1):
         self.n = int(n)
@@ -90,10 +91,6 @@ class QuantumProgram(LeveledProgram):
         if any(not 1 <= s <= self.dim for s in acc):
             raise StructuralError("accepting set must be a subset of {1..dim}")
         self.accept = acc
-
-    def pair_for_variable(self, var):
-        """The transition pair applied when variable `var` is read."""
-        return self.steps[self.order.position_of(var) - 1]
 
     def _pair(self, ell):
         return self.steps[ell % self.n]
@@ -249,20 +246,9 @@ def reorder_quantum(program, order2):
     """Program reading variables in order `order2`, using the pair each
     variable had in the original program. No commutativity gate: the point of
     the operation is also to EXPOSE non-commutative programs by comparison."""
-    if not isinstance(order2, VarOrder):
-        order2 = VarOrder(order2)
-    if order2.n != program.n:
-        raise ShapeError("new order length does not match n")
-    steps = [program.pair_for_variable(v) for v in order2.perm]
-    return QuantumProgram(
-        n=program.n,
-        dim=program.dim,
-        order=order2,
-        initial=program.initial,
-        steps=steps,
-        accept=program.accept,
-        k=program.k,
-    )
+    if not isinstance(program, QuantumProgram):
+        raise ShapeError("reorder_quantum expects a quantum program")
+    return _reordered(program, order2)
 
 
 def is_commutative_quantum(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limits.TOL):

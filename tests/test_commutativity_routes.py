@@ -4,11 +4,11 @@
 (`diagrams._commutes_pairwise`), which compares two variables' operators only
 on the states that own-order subsequences reach before them; when it fails,
 the sampled route runs:
-`diagrams._permuted_profile` propagates a chunk of variable orders together,
-and each chunk is compared with the program's own order. The reference below
-runs one order at a time: every input goes through the padded program's
-levels in that order with the kind's own `_step`, and the layer-end maps
-stay pinned at layer boundaries. Both routes must give the same outputs,
+`diagrams._permuted_profile` runs the whole-table pass on the program
+reordered to each sampled order, and each order's table is compared with the
+program's own. The reference below propagates every input through the padded
+program's levels in the order with the kind's own `_step`, and the layer-end
+maps stay pinned at layer boundaries. Both routes must give the same outputs,
 exactly for 0/1 outputs and within 1e-12 for acceptance probabilities, and
 the same verdicts; a certified program must be commutative by the reference.
 The all-states pairwise check that the certificate refines is kept here as a
@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddlab import limits
+from ddlab import diagrams, limits
 from ddlab.boolfn import VarOrder
 from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs,
                             _commutes_pairwise, _padded, _permuted_profile, embed_obdd_as_nobdd,
@@ -91,7 +91,7 @@ def _certified(program, trials=50, seed=0):
 
 def _assert_profiles_match(program, perms):
     padded = _padded(program)
-    batched = _permuted_profile(padded, perms)
+    batched = np.array([_permuted_profile(padded, perm) for perm in perms])
     reference = np.array([_reference_profile(padded, perm) for perm in perms])
     assert batched.shape == reference.shape == (len(perms), 1 << program.n)
     if isinstance(program, (LeveledObdd, Nobdd)):
@@ -388,7 +388,7 @@ def test_the_certificate_batches_its_products(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# memory: a chunk spans at most _CHUNK_ROWS (order, input) rows
+# memory: one order's table at a time, of at most _CHUNK_ROWS state rows
 
 
 def _tagged_counter(n):
@@ -413,8 +413,8 @@ def _budget_program(spec):
     return embed[kind](program)
 
 
-# the tagged counters fail the certificate, so the fallback runs every chunk
-# of orders of a commutative program; or-nobdd:12 and pj-2k:3,2 certify
+# the tagged counters fail the certificate, so the fallback runs every order
+# of a commutative program; or-nobdd:12 and pj-2k:3,2 certify
 @pytest.mark.parametrize("spec, trials", [("tagged:8", 200), ("tagged:12", 50),
                                           ("tagged:8 as nobdd", 200), ("tagged:12 as nobdd", 50),
                                           ("tagged:8 as pobdd", 200), ("tagged:12 as pobdd", 50),
@@ -433,3 +433,23 @@ def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * state_bytes + operator_bytes
+
+
+# --------------------------------------------------------------------------
+# the sampled route: one whole-table pass per order it compares
+
+
+def test_the_sampled_route_runs_one_table_per_order(monkeypatch):
+    calls, profile = [], diagrams._permuted_profile
+
+    def counted(padded, perm):
+        calls.append(perm)
+        return profile(padded, perm)
+
+    monkeypatch.setattr(diagrams, "_permuted_profile", counted)
+    assert is_commutative(_tagged_counter(8), trials=50)   # commutative, not certified
+    assert calls == sample_orders(8, 50, seed=0)
+    calls.clear()
+    assert not is_commutative(parse_program_spec("tree:eq:4"))   # stops at the first difference
+    assert 1 <= len(calls) < math.factorial(4)
+    assert calls == sample_orders(4, 1, seed=0)[: len(calls)]

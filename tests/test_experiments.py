@@ -173,3 +173,14 @@ def test_paper_core_matches_the_golden_file(paper_core_reports):
         assert payload["bound"] == want["bound"], want["check_id"]
         assert payload["claim"] == want["claim"], want["check_id"]
         assert _same_measured(payload["measured"], want["measured"]), want["check_id"]
+
+
+def test_negative_suite_matches_the_golden_file():
+    # tests/data/negative_golden.json is written by scripts/make_paper_core_golden.py
+    golden = json.loads(GOLDEN.with_name("negative_golden.json").read_text())
+    for report, want in zip(run_suite("negative"), golden, strict=True):
+        payload = report.canonical_payload()
+        assert payload["spec"]["check_id"] == want["check_id"]
+        for field in ("passed", "bound", "claim"):
+            assert payload[field] == want[field], want["check_id"]
+        assert _same_measured(payload["measured"], want["measured"]), want["check_id"]

@@ -161,6 +161,13 @@ def test_reorder_quantum_applies_pairs_by_new_order():
     assert accept_probability(swapped, (1, 0)) == pytest.approx(math.sin(0.3) ** 2, abs=1e-12)
 
 
+def test_reorder_quantum_refuses_a_classical_program_and_a_wrong_length_order():
+    with pytest.raises(ShapeError):
+        reorder_quantum(eq_weighted_obdd(4), (2, 1, 4, 3))
+    with pytest.raises(ShapeError):
+        reorder_quantum(_single_rotation_program(3, 0.3), (2, 1))
+
+
 def test_is_commutative_quantum():
     ks = modp_multipliers(5)["multipliers"]
     prog = fingerprint_modp_qobdd(5, 4, ks)
