@@ -273,49 +273,31 @@ def restrict(f, rho):
     return BoolFn(m, f.table[old])
 
 
-def _row_col_indexes(n, left_vars, right_vars):
-    """Row/column index of every truth-table entry for a two-block partition."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    rows = np.zeros(1 << n, dtype=np.int64)
-    for var in left_vars:
-        rows = (rows << 1) | ((idx >> (n - var)) & 1)
-    cols = np.zeros(1 << n, dtype=np.int64)
-    for var in right_vars:
-        cols = (cols << 1) | ((idx >> (n - var)) & 1)
-    return rows, cols
-
-
 def _count_for_varset(f, left_vars):
     """Number of pairwise-distinguishable subfunctions with X_A = `left_vars`.
 
-    This is the reference route: explicit row matrices plus exact deduplication
-    (and a conflict-graph maximum clique for partial functions). The exact-width
-    search builds its cut costs by an independent incremental route.
+    This is the reference route: the table as a (2,)*n array with the X_A
+    axes moved to the front gives one row per assignment to X_A, and the
+    packed rows are deduplicated exactly, by their bytes (for partial
+    functions, a conflict-graph maximum clique over the distinct rows
+    follows). The exact-width search builds its cut costs by an independent
+    incremental route.
     """
     n = f.n
-    left_vars = tuple(left_vars)
-    right_vars = tuple(v for v in range(1, n + 1) if v not in set(left_vars))
-    u = len(left_vars)
-    rows, cols = _row_col_indexes(n, left_vars, right_vars)
-    n_rows, n_cols = 1 << u, 1 << (n - u)
+    left = [v - 1 for v in left_vars]
+    axes = left + [a for a in range(n) if a not in left]
+
+    def matrix(table):
+        return table.reshape((2,) * n).transpose(axes).reshape(1 << len(left), -1)
+
     if isinstance(f, PartialBoolFn):
-        mask = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        vals = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        mask[rows, cols] = f.defined
-        vals[rows, cols] = f.values
-        mask_p = np.packbits(mask, axis=1)
-        vals_p = np.packbits(vals, axis=1)
+        mask, vals = matrix(f.defined), matrix(f.values)
         distinct = {}
-        for r in range(n_rows):
-            key = (mask_p[r].tobytes(), vals_p[r].tobytes())
-            if key not in distinct:
-                distinct[key] = r
-        keep = sorted(distinct.values())
+        for r, key in enumerate(map(bytes, np.packbits(np.hstack([mask, vals]), axis=1))):
+            distinct.setdefault(key, r)
+        keep = list(distinct.values())   # the first row of each, in row order
         return _max_conflict_clique(mask[keep], vals[keep])
-    mat = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    mat[rows, cols] = f.table
-    packed = np.packbits(mat, axis=1)
-    return int(np.unique(packed, axis=0).shape[0])
+    return len(set(map(bytes, np.packbits(matrix(f.table), axis=1))))
 
 
 def _max_conflict_clique(mask_rows, val_rows, floor=0):

@@ -20,11 +20,15 @@ in the program's own order; every whole-table routine and the exhaustive
 bounded-error check use it. `propagate` runs a given batch of inputs, a
 (B, n) bit matrix, through the levels, for the sampled checks. The per-input
 evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
-`quantum.accept_probability`) share `_evaluate`, the plain per-level loop
-that both batch routes are tested against. Its step (`_act_one`) touches only
-the live states: a stochastic step multiplies the rows of the nonzero entries
-and a boolean step takes the union of the reachable nodes' successor sets, so
-it costs what one input's state needs, not the whole operator.
+`quantum.accept_probability`) share `_evaluate`, the reference route that
+both batch routes are tested against. It walks one input through the levels
+on Python scalars, over each operator's per-input form: the nonzero (target,
+weight) entries of every node's row, or a plain list for an index map, built
+once per distinct operator object on the first per-input call. The state
+holds only the live nodes: one node, the set of reachable nodes, or a dict
+from each node with mass to its mass. So a step costs what one input's state
+needs, not the whole operator. The quantum kind keeps its dense `g @ state`
+step.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -138,12 +142,13 @@ class _Packed(tuple):
 class LeveledProgram:
     """What every program kind shares. A kind supplies its constructor
     fields (`_FIELDS`), the packing of one level's rows (`_pack_level`), the
-    state dtype or start (`_DTYPE`, `_first`), its operator action (`_act`,
-    `_act_one`, `_step`) and its readout (`_readout`, `_readout_on`). The
+    state dtype or start (`_DTYPE`, `_first`), its batch operator action
+    (`_act`, `_step`), its per-input route (`_form`, `_walk`,
+    `_readout_one`) and its readout (`_readout`, `_readout_on`). The
     defaults here are those of the matrix kinds, whose states are row
-    vectors multiplied on the right."""
+    vectors multiplied on the right. `_forms` caches the per-input forms."""
 
-    __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends")
+    __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends", "_forms")
     _MATRIX = True   # operators are matrices, not index maps
 
     def _init_levels(self, n, k, order, widths, start, steps, layer_ends):
@@ -170,6 +175,7 @@ class LeveledProgram:
             packed.append(tuple(level))
         self.steps = tuple(packed)
         self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
+        self._forms = None
 
     def _norm_accepting(self, accepting):
         acc = frozenset(int(s) for s in accepting)
@@ -197,9 +203,6 @@ class LeveledProgram:
     def _act(self, states, op):
         return states @ op
 
-    def _act_one(self, state, op):
-        return self._act(state, op)
-
     def _step(self, states, pair, bit):
         """One level on a batch: row i takes pair[bit[i]]."""
         nxt = np.empty((states.shape[0], pair[0].shape[1]), dtype=states.dtype)
@@ -223,6 +226,34 @@ class LeveledProgram:
         """Readout fields of a program whose final node i acts as this
         program's final node nodes[i] (padding nodes, -1, reject)."""
         return {"accepting": np.flatnonzero(np.isin(nodes, sorted(self.accepting)))}
+
+    def _per_input(self):
+        """The per-input forms of every level's operator pair and of every
+        layer end (None where a layer has none), built on the first call,
+        once per distinct operator object: a lift repeats a few operators
+        over all its levels."""
+        if self._forms is None:
+            distinct = {id(op): op for pair in self.steps for op in pair}
+            built = {key: self._form(op) for key, op in distinct.items()}
+            levels = tuple(tuple(built[id(op)] for op in self._pair(ell))
+                           for ell in range(self.k * self.n))
+            ends = tuple(None if end is None else
+                         self._form(self._map_op(end, self.widths[(j + 1) * self.n]))
+                         for j, end in enumerate(self.layer_ends))
+            self._forms = levels, ends
+        return self._forms
+
+    def _form(self, op):
+        """Per-input form of a matrix: each row's nonzero (target, weight) entries."""
+        flat = np.flatnonzero(op != 0)   # numpy's 2-d nonzero is several times slower
+        rows, cols = np.divmod(flat, op.shape[1])
+        form = [[] for _ in range(op.shape[0])]
+        for r, c, weight in zip(rows.tolist(), cols.tolist(), op.ravel()[flat].tolist()):
+            form[r].append((c, weight))
+        return form
+
+    def _readout_one(self, state):
+        return self._readout(state)
 
     @classmethod
     def _map_op(cls, m, width):
@@ -274,6 +305,15 @@ class LeveledObdd(LeveledProgram):
     def _step(self, states, pair, bit):
         return np.where(bit, pair[1][states], pair[0][states])
 
+    def _form(self, op):
+        return op.tolist()
+
+    def _walk(self, forms):
+        node = self.start
+        for targets in forms:
+            node = targets[node]
+        return node
+
     def _end(self, states, end):
         return end[states]
 
@@ -324,8 +364,15 @@ class Nobdd(LeveledProgram):
                 np.greater(rows @ mat, 0, out=out[i][lo: lo + block])
         return out
 
-    def _act_one(self, state, op):
-        return op[state].any(axis=0)   # the successors of the reachable nodes
+    def _walk(self, forms):
+        """The reachable nodes; paths are never counted."""
+        reached = {self.start}
+        for rows in forms:
+            reached = {t for node in reached for t, _ in rows[node]}
+        return reached
+
+    def _readout_one(self, reached):
+        return not self.accepting.isdisjoint(reached)
 
     def _pack_level(self, ell, level, w, w_next):
         mats = np.zeros((2, w, w_next), dtype=bool)
@@ -369,12 +416,22 @@ class Pobdd(LeveledProgram):
             raise StructuralError("level %d has a non-stochastic row" % ell)
         return mats[:, 0].copy(), mats[:, 1].copy()
 
-    def _act_one(self, state, op):
-        live = state.nonzero()[0]   # only the rows of nodes with mass contribute
-        return state[live] @ op[live]
+    def _walk(self, forms):
+        """The nodes with mass, each with its mass."""
+        dist = {self.start: 1.0}
+        for rows in forms:
+            nxt = {}
+            for node, mass in dist.items():
+                for t, p in rows[node]:
+                    nxt[t] = nxt.get(t, 0.0) + mass * p
+            dist = nxt
+        return dist
 
     def _readout(self, states):
         return states[..., sorted(self.accepting)].sum(axis=-1)
+
+    def _readout_one(self, dist):
+        return sum(dist.get(s, 0.0) for s in sorted(self.accepting))
 
 
 def width(program):
@@ -398,19 +455,19 @@ def _input_bits(x, n):
 
 
 def _evaluate(program, x):
-    """The per-input reference route: one plain loop over the levels. Each
-    step touches only the live states (`_act_one`): the rows of the nonzero
-    entries of a distribution, or the successors of the reachable nodes."""
+    """The per-input reference route: the per-input forms of the operators
+    that the bits select, each layer's end after its last level, walked from
+    the start state (`_walk`) and read out."""
     bits = _input_bits(x, program.n)
-    n, perm = program.n, program.order.perm
-    state = program._first()
-    for ell in range(program.k * n):
-        state = program._act_one(state, program._pair(ell)[bits[perm[ell % n] - 1]])
-        if (ell + 1) % n == 0:
-            end = program.layer_ends[ell // n]
-            if end is not None:
-                state = program._end(state, end)
-    return program._readout(state)
+    n = program.n
+    levels, ends = program._per_input()
+    reads = [bits[v - 1] for v in program.order.perm]
+    walk = []
+    for j, end in enumerate(ends):
+        walk += [pair[b] for pair, b in zip(levels[j * n: (j + 1) * n], reads)]
+        if end is not None:
+            walk.append(end)
+    return program._readout_one(program._walk(walk))
 
 
 def eval_obdd(program, x):
@@ -735,8 +792,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     readout cannot tell apart, is decided by the sample.
 
     The sampled check runs the whole-table pass once in the own order and
-    once per sampled order, and returns False at the first order that
-    differs. Fewer than one trial is refused with `ShapeError`.
+    once per other sampled order (an order equal to the own one is skipped),
+    and returns False at the first order that differs. Fewer than one trial
+    is refused with `ShapeError`.
     """
     if trials < 1:
         raise ShapeError("is_commutative needs at least one trial, got %r" % (trials,))
@@ -747,7 +805,7 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     baseline = _whole_table(padded).astype(np.float64)
     return not any(np.any(np.abs(_permuted_profile(padded, perm) - baseline) > tol)
-                   for perm in _orders(n, trials, seed))
+                   for perm in _orders(n, trials, seed) if perm != padded.order.perm)
 
 
 def _embedded(program, kind, **fields):

@@ -7,7 +7,9 @@ A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
 matrix acting on a column of amplitudes, so it runs on the same engine as the
 classical kinds: `diagrams._whole_table` for every input, `diagrams.propagate`
 for a given batch and `diagrams._evaluate` for one input. A batch of row
-states is multiplied by `g.T`; one input applies `g @ state`.
+states is multiplied by `g.T`. One input applies `g @ state` and checks the
+norm after each step: its per-input step stays a dense product, since a
+unitary has no sparse rows to skip and scalar columns would be slower.
 
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
@@ -82,11 +84,19 @@ class QuantumProgram(LeveledProgram):
         self.initial = vec
         if len(steps) != self.n:
             raise ShapeError("expected %d transition pairs, got %d" % (self.n, len(steps)))
+        checked = {}   # id -> (matrix, checked copy): a lift repeats a few matrices
+
+        def unitary(g, where):
+            if id(g) not in checked:
+                checked[id(g)] = g, _as_unitary(g, self.dim, where)
+            return checked[id(g)][1]
+
         self.steps = tuple(
-            (_as_unitary(g0, self.dim, "step %d bit-0 matrix" % (i + 1)),
-             _as_unitary(g1, self.dim, "step %d bit-1 matrix" % (i + 1)))
+            (unitary(g0, "step %d bit-0 matrix" % (i + 1)),
+             unitary(g1, "step %d bit-1 matrix" % (i + 1)))
             for i, (g0, g1) in enumerate(steps)
         )
+        self._forms = None
         acc = frozenset(int(s) for s in accept)
         if any(not 1 <= s <= self.dim for s in acc):
             raise StructuralError("accepting set must be a subset of {1..dim}")
@@ -101,11 +111,16 @@ class QuantumProgram(LeveledProgram):
     def _act(self, states, g):
         return states @ np.swapaxes(g, -1, -2)   # g may be a stack of operators
 
-    def _act_one(self, state, g):
-        state = g @ state
-        norm = math.sqrt(np.vdot(state, state).real)
-        if abs(norm - 1.0) > limits.TOL:
-            raise StructuralError("state norm drifted to %.15g during the run" % norm)
+    def _form(self, g):
+        return g
+
+    def _walk(self, forms):
+        state = self.initial
+        for g in forms:
+            state = g @ state
+            norm = math.sqrt(np.vdot(state, state).real)
+            if abs(norm - 1.0) > limits.TOL:
+                raise StructuralError("state norm drifted to %.15g during the run" % norm)
         return state
 
     def _readout(self, states):

@@ -1,4 +1,6 @@
 """Leveled programs: construction, evaluation, extraction, commutativity, text."""
+import time
+
 import numpy as np
 import pytest
 
@@ -115,18 +117,43 @@ def test_eval_pobdd_acceptance():
 
 @pytest.mark.parametrize("support", [[], [3], [0, 2, 5], list(range(7))])
 def test_per_input_step_equals_the_dense_product(support):
-    # the per-input step touches only the live states; it must equal state @ op
+    # the scalar step walks only the live states; it must equal state @ op.
+    # A first step sends the start node to the state under test.
     rng = np.random.default_rng(len(support))
     w, w_next = 7, 5
     reached = np.zeros(w, dtype=bool)
     reached[support] = True
     relation = rng.random((w, w_next)) < 0.4
-    assert np.array_equal(or_guess_nobdd(2)._act_one(reached, relation), reached @ relation)
+    nobdd = or_guess_nobdd(2)
+    first = np.zeros((nobdd.start + 1, w), dtype=bool)
+    first[nobdd.start] = reached
+    got = nobdd._walk([nobdd._form(first), nobdd._form(relation)])
+    assert got == set(np.flatnonzero(reached @ relation).tolist())
     dist = np.where(reached, rng.random(w), 0.0)
     stochastic = rng.random((w, w_next))
     stochastic /= stochastic.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(eq_geometric_pobdd(2)._act_one(dist, stochastic),
+    pobdd = eq_geometric_pobdd(2)
+    first = np.zeros((pobdd.start + 1, w))
+    first[pobdd.start] = dist
+    got = pobdd._walk([pobdd._form(first), pobdd._form(stochastic)])
+    assert set(got) == (set(range(w_next)) if support else set())
+    np.testing.assert_allclose([got.get(t, 0.0) for t in range(w_next)],
                                dist @ stochastic, rtol=0, atol=1e-15)
+
+
+def test_nobdd_evaluation_never_counts_paths():
+    # two successors per node on each of 64 levels: 2**64 paths reach the
+    # last level, whose bit-1 operator alone reaches the accepting node
+    n = 64
+    both = [((0, 1), (0, 1))] * 2
+    last = [((0,), (1,))] * 2
+    prog = Nobdd(n=n, k=1, order=VarOrder.identity(n), widths=[2] * (n + 1), start=0,
+                 steps=[both] * (n - 1) + [last], accepting=[1])
+    eval_nobdd(prog, (0,) * n)   # builds the per-input forms
+    start = time.perf_counter()
+    got = [eval_nobdd(prog, (b,) * n) for b in (0, 1)]
+    assert time.perf_counter() - start < 0.5
+    assert got == [0, 1]
 
 
 @pytest.mark.parametrize("states, ops", [((5, 7), (7, 4)), ((600, 7), (7, 4)),

@@ -10,13 +10,15 @@ probabilities.
 import numpy as np
 import pytest
 
-from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, eval_nobdd,
-                            eval_obdd, eval_pobdd, function_of, propagate)
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, embed_obdd_as_nobdd,
+                            embed_obdd_as_pobdd, eval_nobdd, eval_obdd, eval_pobdd, function_of,
+                            propagate)
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram, accept_probability
 from ddlab.quantum import acceptance_table as quantum_acceptance_table
 from ddlab.reorder import (BlockLayout, lift, reorder_nobdd, reorder_obdd, reorder_pobdd,
                            xor_reorder_qobdd)
+from ddlab.zoo import pj_2k_obdd
 
 PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qobdd:3,5",
                  "tree:eq:4", "pj-2k:2,2", "rpj-core:1,2"]
@@ -58,6 +60,14 @@ def test_per_input_route_matches_table_on_programs(spec):
     _assert_routes_agree(parse_program_spec(spec))
 
 
+@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd])
+def test_per_input_route_matches_table_on_matrix_kinds_with_layer_ends(embed):
+    # the per-input route remaps the live nodes at each layer end
+    program = embed(pj_2k_obdd(2, 2))
+    assert program._MATRIX and any(end is not None for end in program.layer_ends)
+    _assert_routes_agree(program)
+
+
 @pytest.mark.parametrize("mode", ["direct", "xor"])
 @pytest.mark.parametrize("family", sorted(CLASSICAL_LIFTS))
 @pytest.mark.parametrize("q", [2, 4])
@@ -87,3 +97,25 @@ def test_per_input_route_matches_propagate_on_q8_lifts(spec, mode):
     arbitrary = [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(24)]
     xs = allowed + arbitrary
     _assert_single_matches(program, xs, propagate(program, xs))
+
+
+@pytest.mark.parametrize("spec,mode", Q8_LIFTS)
+def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkeypatch):
+    # a q = 8 lift repeats 8 operator objects over its 32 levels
+    program = lift(parse_program_spec(spec), BlockLayout(8), mode)
+    built, form = [], type(program)._form
+
+    def counted(self, op):
+        built.append(op)
+        return form(self, op)
+
+    monkeypatch.setattr(type(program), "_form", counted)
+    rng = np.random.default_rng(8)
+    xs = [tuple(int(b) for b in rng.integers(0, 2, program.n)) for _ in range(3)]
+    _assert_single_matches(program, xs, propagate(program, xs))
+    _assert_single_matches(program, xs, propagate(program, xs))
+    operators = {id(op) for pair in program.steps for op in pair}
+    ends = sum(end is not None for end in program.layer_ends)
+    assert len(operators) == 8 * program.k
+    assert len(built) == len(operators) + ends
+    assert operators <= {id(op) for op in built}

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from ddlab import quantum
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
 from ddlab.diagrams import Pobdd, eval_obdd, eval_pobdd
 from ddlab.errors import CapacityError, ShapeError, StructuralError
+from ddlab.experiments import parse_program_spec
 from ddlab.fixtures import eq_multipliers, modp_multipliers
 from ddlab.quantum import (QuantumProgram, accept_probability, acceptance_table, check_unitary,
                            computes_with_bounded_error, from_json, is_commutative_quantum,
                            programs_equal, reorder_quantum, to_json)
+from ddlab.reorder import BlockLayout, xor_reorder_qobdd
 from ddlab.zoo import (eq, eq_geometric_pobdd, eq_weighted_obdd, fingerprint_eq_qobdd,
                        fingerprint_modp_qobdd, mod_p)
 
@@ -228,3 +231,24 @@ def test_modp_machine_profile_matches_weights():
     table = acceptance_table(prog)
     assert np.all(table[f.table == 1] >= 1.0 - 1e-12)
     assert np.all(table[f.table == 0] <= 1.0 / 3.0 + 1e-12)
+
+
+def test_the_constructor_checks_each_distinct_matrix_once(monkeypatch):
+    # the q = 8 lift holds 64 step matrices, 8 of them distinct objects
+    base = parse_program_spec("eq-qobdd-recombined:8")
+    calls, check = [], quantum._as_unitary
+
+    def counted(mat, dim, where):
+        calls.append(where)
+        return check(mat, dim, where)
+
+    monkeypatch.setattr(quantum, "_as_unitary", counted)
+    lifted = xor_reorder_qobdd(base, BlockLayout(8))
+    assert len(calls) == len({id(g) for pair in lifted.steps for g in pair}) == 8
+
+
+def test_a_repeated_non_unitary_matrix_is_refused_at_its_first_step():
+    rot, bad = _rot(0.4), np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(StructuralError, match="step 2 bit-1 matrix"):
+        QuantumProgram(n=3, dim=2, order=VarOrder.identity(3), initial=np.array([1.0, 0.0]),
+                       steps=[(rot, rot), (rot, bad), (bad, bad)], accept=[1])
