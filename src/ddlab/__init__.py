@@ -9,7 +9,7 @@ from .boolfn import (BoolFn, PartialBoolFn, Partition, VarOrder, evaluate, n_min
                      restrict, subfunction_count)
 from .diagrams import (LeveledObdd, LeveledProgram, Nobdd, Pobdd, acceptance_table,
                        build_binary_tree_obdd, embed_obdd_as_nobdd, embed_obdd_as_pobdd,
-                       eval_nobdd, eval_obdd, eval_pobdd, function_of, is_commutative, propagate,
+                       eval_nobdd, eval_obdd, eval_pobdd, function_of, is_commutative,
                        rounded_table, sample_orders, size, to_text, width)
 from .errors import (CapacityError, CommutativityError, ConsistencyError, DdlabError,
                      DependencyError, ShapeError, StructuralError, UsageError)

@@ -15,20 +15,19 @@ packed and acts on the state, and in how the last state is read out:
   QuantumProgram  unitary (dim, dim)         amplitudes     accepting |amp|^2
                   (quantum.py; one pair per variable, repeated each layer)
 
-`_whole_table` gives the output on all 2**n inputs from one prefix-trie pass
-in the program's own order; every whole-table routine and the exhaustive
-bounded-error check use it. `propagate` runs a given batch of inputs, a
-(B, n) bit matrix, through the levels, for the sampled checks. The per-input
-evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
-`quantum.accept_probability`) share `_evaluate`, the reference route that
-both batch routes are tested against. It walks one input through the levels
-on Python scalars, over each operator's per-input form: the nonzero (target,
-weight) entries of every node's row, or a plain list for an index map, built
-once per distinct operator object on the first per-input call. The state
-holds only the live nodes: one node, the set of reachable nodes, or a dict
-from each node with mass to its mass. So a step costs what one input's state
-needs, not the whole operator. The quantum kind keeps its dense `g @ state`
-step.
+A program runs on two routes. `_whole_table` gives the output on all 2**n
+inputs from one prefix-trie pass in the program's own order; every
+whole-table routine and the exhaustive bounded-error check use it. The
+per-input evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
+`quantum.accept_probability`) and the sampled bounded-error check share
+`_evaluate`, the reference route that the table is tested against. It walks
+one input through the levels on Python scalars, over each operator's
+per-input form: the nonzero (target, weight) entries of every node's row, or
+a plain list for an index map, built once per distinct operator object on
+the first per-input call. The state holds only the live nodes: one node, the
+set of reachable nodes, or a dict from each node with mass to its mass. So a
+step costs what one input's state needs, not the whole operator. The quantum
+kind keeps its dense `g @ state` step.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -61,9 +60,6 @@ import numpy as np
 from . import limits
 from .boolfn import BoolFn, VarOrder
 from .errors import DependencyError, ShapeError, StructuralError
-
-_CHUNK_ROWS = 4096     # inputs propagated together, state rows of a table computed at once
-
 
 def _norm_order(order, n):
     if not isinstance(order, VarOrder):
@@ -143,7 +139,7 @@ class LeveledProgram:
     """What every program kind shares. A kind supplies its constructor
     fields (`_FIELDS`), the packing of one level's rows (`_pack_level`), the
     state dtype or start (`_DTYPE`, `_first`), its batch operator action
-    (`_act`, `_step`), its per-input route (`_form`, `_walk`,
+    (`_act`), its per-input route (`_form`, `_walk`,
     `_readout_one`) and its readout (`_readout`, `_readout_on`). The
     defaults here are those of the matrix kinds, whose states are row
     vectors multiplied on the right. `_forms` caches the per-input forms."""
@@ -202,14 +198,6 @@ class LeveledProgram:
 
     def _act(self, states, op):
         return states @ op
-
-    def _step(self, states, pair, bit):
-        """One level on a batch: row i takes pair[bit[i]]."""
-        nxt = np.empty((states.shape[0], pair[0].shape[1]), dtype=states.dtype)
-        for rows, op in ((~bit, pair[0]), (bit, pair[1])):
-            if rows.any():
-                nxt[rows] = self._act(states[rows], op)
-        return nxt
 
     def _end(self, states, end):
         mapped = np.zeros_like(states)
@@ -302,9 +290,6 @@ class LeveledObdd(LeveledProgram):
     def _act(self, states, op):
         return op[states]
 
-    def _step(self, states, pair, bit):
-        return np.where(bit, pair[1][states], pair[0][states])
-
     def _form(self, op):
         return op.tolist()
 
@@ -350,13 +335,13 @@ class Nobdd(LeveledProgram):
     def _act(self, states, op):
         # numpy's boolean matmul has no BLAS kernel. The float sums are
         # integers below 2**53, so the product is exact. It runs one operator
-        # at a time on blocks of _CHUNK_ROWS / 16 rows, so its float copies
-        # fit in the memory of one chunk of boolean states.
+        # at a time on blocks of limits.CHUNK_ROWS / 16 rows, so its float
+        # copies fit in the memory of one chunk of boolean states.
         batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
         states = np.broadcast_to(states, batch + states.shape[-2:])
         op = np.broadcast_to(op, batch + op.shape[-2:])
         out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
-        block = _CHUNK_ROWS >> 4
+        block = limits.CHUNK_ROWS >> 4
         for i in np.ndindex(batch):
             mat = op[i].astype(np.float64)
             for lo in range(0, states.shape[-2], block):
@@ -517,28 +502,6 @@ def _padded(program):
     )
 
 
-def propagate(program, bits):
-    """Output of any program kind on each row of `bits`, a (B, n) 0/1 matrix:
-    the sink bit, 1 iff an accepting node is reachable, or the acceptance
-    probability."""
-    if not isinstance(program, LeveledProgram):
-        raise ShapeError("propagate expects a leveled or quantum program")
-    bits = np.asarray(bits, dtype=bool)
-    n, perm = program.n, program.order.perm
-    if bits.ndim != 2 or bits.shape[1] != n:
-        raise ShapeError("expected a (B, %d) bit matrix" % n)
-    out = []
-    for lo in range(0, max(bits.shape[0], 1), _CHUNK_ROWS):
-        columns = np.ascontiguousarray(bits[lo: lo + _CHUNK_ROWS].T)
-        states = program._first(columns.shape[1])
-        for ell in range(program.k * n):
-            states = program._step(states, program._pair(ell), columns[perm[ell % n] - 1])
-            if (ell + 1) % n == 0 and program.layer_ends[ell // n] is not None:
-                states = program._end(states, program.layer_ends[ell // n])
-        out.append(program._readout(states))
-    return np.concatenate(out)
-
-
 def _in_table_order(outputs, perm):
     """Outputs of a program reading its variables in order `perm` (0-based),
     in which bit ell of the row number is the bit read at level ell, in
@@ -551,16 +514,16 @@ def _in_table_order(outputs, perm):
 
 
 def _whole_table(program):
-    """Output of any program kind on every input, in truth-table order: what
-    `propagate` gives on all 2**n inputs, from one prefix-trie pass in the
-    program's own order. Bit ell of a state's row number is the bit read at
-    level ell of a layer. The first layer's first c = log2(_CHUNK_ROWS)
-    levels map the trie through both operators, with the new bit on top; the
-    bits read at later levels are fixed per block of 2**c rows, so at most
-    _CHUNK_ROWS state rows are computed at a time."""
+    """Output of any program kind on every input, in truth-table order, from
+    one prefix-trie pass in the program's own order. Bit ell of a state's row
+    number is the bit read at level ell of a layer. The first layer's first
+    c = log2(limits.CHUNK_ROWS) levels map the trie through both operators,
+    with the new bit on top; the bits read at later levels are fixed per
+    block of 2**c rows, so at most limits.CHUNK_ROWS state rows are computed
+    at a time."""
     n = program.n
     limits.check(n, limits.TABLE_CAP, "n of a 2**n table")
-    c = min(n, _CHUNK_ROWS.bit_length() - 1)
+    c = min(n, limits.CHUNK_ROWS.bit_length() - 1)
     prefix = program._first(1)
     for ell in range(c):
         prefix = np.concatenate([program._act(prefix, op) for op in program._pair(ell)])
@@ -735,7 +698,7 @@ def _commutes_pairwise(padded, tol):
     One scan per layer gives every such set (reachability follows the nonzero
     entries), and one batched product per position compares it with all later
     ones, on the union of their rows (for matrices, in groups of at most
-    _CHUNK_ROWS product rows)."""
+    limits.CHUNK_ROWS product rows)."""
     n, w = padded.n, padded.widths[0]
     basis = padded._map_op(np.arange(w), w)
     reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
@@ -754,8 +717,8 @@ def _commutes_pairwise(padded, tol):
             rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
             start, own = basis[rows], stack[a]
             first = _then(padded, start, own)[None, None]
-            # products of matrices hold at most _CHUNK_ROWS rows at a time
-            group = max(1, _CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
+            # products of matrices hold at most limits.CHUNK_ROWS rows at a time
+            group = max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
             for lo in range(a + 1, n, group):
                 later, masks = stack[lo: lo + group], before[a, lo: lo + group]
                 a_first = _then(padded, first, later[:, :, None])

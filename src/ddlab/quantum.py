@@ -4,12 +4,12 @@ against an accepting subset, and bounded-error verdicts for every program
 kind.
 
 A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
-matrix acting on a column of amplitudes, so it runs on the same engine as the
-classical kinds: `diagrams._whole_table` for every input, `diagrams.propagate`
-for a given batch and `diagrams._evaluate` for one input. A batch of row
-states is multiplied by `g.T`. One input applies `g @ state` and checks the
-norm after each step: its per-input step stays a dense product, since a
-unitary has no sparse rows to skip and scalar columns would be slower.
+matrix acting on a column of amplitudes, so it runs on the same two routes as
+the classical kinds: `diagrams._whole_table` for every input and
+`diagrams._evaluate` for one input. A batch of row states is multiplied by
+`g.T`. One input applies `g @ state` and checks the norm after each step:
+its per-input step stays a dense product, since a unitary has no sparse rows
+to skip and scalar columns would be slower.
 
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
@@ -31,7 +31,7 @@ import numpy as np
 from . import limits
 from .boolfn import BoolFn, PartialBoolFn, VarOrder
 from .diagrams import (LeveledProgram, _evaluate, _norm_order, _reordered, _whole_table,
-                       index_bits, is_commutative, propagate)
+                       index_bits, is_commutative)
 from .errors import ShapeError, StructuralError
 
 
@@ -169,8 +169,9 @@ def accept_probability(program, x):
 
 def _acceptance_for_inputs(program, idx):
     """Acceptance probabilities of any program kind on the given input
-    indexes (0/1 for deterministic and nondeterministic programs)."""
-    return propagate(program, index_bits(idx, program.n)).astype(np.float64)
+    indexes (0/1 for deterministic and nondeterministic programs), walked
+    one input at a time on the per-input route."""
+    return np.array([_evaluate(program, x) for x in index_bits(idx, program.n)], dtype=np.float64)
 
 
 def acceptance_table(program):
@@ -221,9 +222,10 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
 
     Exhaustive over all 2**n inputs when `samples` is None (n <=
     limits.TABLE_CAP); otherwise checks `samples` seeded random inputs, and
-    only those are propagated (fewer than one is refused with `ShapeError`).
-    Works for every program kind. Undefined points of a partial target are
-    skipped.
+    only those are walked, one input at a time (fewer than one is refused
+    with `ShapeError`). Works for every program kind. Undefined points of a
+    partial target are skipped; a verdict that checked no defined input
+    fails.
     """
     n = program.n
     if not isinstance(f, (BoolFn, PartialBoolFn)):
@@ -248,7 +250,7 @@ def computes_with_bounded_error(program, f, epsilon, samples=None, seed=0):
     ok_one = min_one is None or min_one >= 0.5 + epsilon - limits.TOL
     ok_zero = max_zero is None or max_zero <= 0.5 - epsilon + limits.TOL
     return BoundedErrorVerdict(
-        passed=bool(ok_one and ok_zero),
+        passed=bool(ok_one and ok_zero and idx.size),
         min_one=min_one,
         max_zero=max_zero,
         epsilon=float(epsilon),

@@ -1,8 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +319,21 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["eval", "eq:2", "--input", "11"], 0, "1"),
+    (["reorder", "tree:eq:2", "--layout", "2"], 1, None),
+    (["eval", "eq:2", "--input", "1"], 2, None),
+    (["width-exact", "ws:17"], 3, None),
+])
+def test_module_entry_point_exits_with_the_code_main_returns(argv, code, out):
+    # `python -m ddlab.cli` ends in sys.exit(main()), as the console script does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-m", "ddlab.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    if out is not None:
+        assert proc.stdout.strip() == out

@@ -6,13 +6,15 @@ on the states that own-order subsequences reach before them; when it fails,
 the sampled route runs:
 `diagrams._permuted_profile` runs the whole-table pass on the program
 reordered to each sampled order, and each order's table is compared with the
-program's own. The reference below propagates every input through the padded
-program's levels in the order with the kind's own `_step`, and the layer-end
-maps stay pinned at layer boundaries. Both routes must give the same outputs,
-exactly for 0/1 outputs and within 1e-12 for acceptance probabilities, and
-the same verdicts; a certified program must be commutative by the reference.
-The all-states pairwise check that the certificate refines is kept here as a
-reference too: whatever it certifies, the certificate must certify.
+program's own. The reference below runs every input through the padded
+program's levels in the order: each level sends the rows that read 0 through
+the kind's `_act` with its bit-0 operator and the rest with its bit-1
+operator, and the layer-end maps stay pinned at layer boundaries. Both
+routes must give the same outputs, exactly for 0/1 outputs and within 1e-12
+for acceptance probabilities, and the same verdicts; a certified program
+must be commutative by the reference. The all-states pairwise check that the
+certificate refines is kept here as a reference too: whatever it certifies,
+the certificate must certify.
 """
 import itertools
 import math
@@ -23,7 +25,7 @@ import pytest
 
 from ddlab import diagrams, limits
 from ddlab.boolfn import VarOrder
-from ddlab.diagrams import (_CHUNK_ROWS, LeveledObdd, Nobdd, Pobdd, _all_inputs,
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _all_inputs,
                             _commutes_pairwise, _padded, _permuted_profile, embed_obdd_as_nobdd,
                             embed_obdd_as_pobdd, is_commutative, sample_orders, width)
 from ddlab.experiments import parse_program_spec
@@ -50,7 +52,11 @@ def _reference_profile(padded, perm):
     states = padded._first(columns.shape[1])
     for j in range(padded.k):
         for v in perm:
-            states = padded._step(states, padded._pair(j * n + position[v]), columns[v - 1])
+            pair, bit = padded._pair(j * n + position[v]), columns[v - 1]
+            nxt = np.empty_like(states)   # the padded levels have equal widths
+            for b in (0, 1):
+                nxt[bit == b] = padded._act(states[bit == b], pair[b])
+            states = nxt
         if padded.layer_ends[j] is not None:
             states = padded._end(states, padded.layer_ends[j])
     return padded._readout(states)
@@ -388,7 +394,7 @@ def test_the_certificate_batches_its_products(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# memory: one order's table at a time, of at most _CHUNK_ROWS state rows
+# memory: one order's table at a time, of at most limits.CHUNK_ROWS state rows
 
 
 def _tagged_counter(n):
@@ -422,7 +428,7 @@ def _budget_program(spec):
 def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
     program = _budget_program(spec)
     padded = _padded(program)
-    state_bytes = _CHUNK_ROWS * width(program) * padded._first(1).dtype.itemsize
+    state_bytes = limits.CHUNK_ROWS * width(program) * padded._first(1).dtype.itemsize
     operator_bytes = sum(op.nbytes for pair in padded.steps for op in pair)
     assert _commutes_pairwise(padded, limits.TOL) == (spec in CERTIFIED)
     assert is_commutative(program, trials=1)   # fills the input-table caches

@@ -1,18 +1,20 @@
-"""Dual-route agreement: the per-input evaluators against the batch routines.
+"""Dual-route agreement: the per-input evaluators against the whole table.
 
 The per-input route (`eval_obdd`, `eval_nobdd`, `eval_pobdd`,
 `accept_probability`) walks one input through the levels; the table route
-(`function_of`, both `acceptance_table`s) propagates every input at once, and
-`propagate` runs a given batch where no table exists. The routes must agree on
-every input: exactly for 0/1 outputs and within 1e-12 for acceptance
-probabilities.
+(`function_of`, both `acceptance_table`s) propagates every input at once. The
+routes must agree on every input: exactly for 0/1 outputs and within 1e-12
+for acceptance probabilities. Where no table exists (the q = 8 lifts, n = 32)
+the per-input route is compared with the lift's meaning, propagated through
+the base program: each input is decoded into block addresses and value bits,
+and each block applies the padded base's operator of its addressed variable.
 """
 import numpy as np
 import pytest
 
-from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, acceptance_table, embed_obdd_as_nobdd,
-                            embed_obdd_as_pobdd, eval_nobdd, eval_obdd, eval_pobdd, function_of,
-                            propagate)
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _padded, acceptance_table,
+                            embed_obdd_as_nobdd, embed_obdd_as_pobdd, eval_nobdd, eval_obdd,
+                            eval_pobdd, function_of)
 from ddlab.experiments import parse_program_spec
 from ddlab.quantum import QuantumProgram, accept_probability
 from ddlab.quantum import acceptance_table as quantum_acceptance_table
@@ -83,26 +85,45 @@ def test_per_input_route_matches_table_on_quantum_lifts(q):
 
 
 Q8_LIFTS = [("eq-obdd:8", "xor"), ("or-nobdd:8", "direct"), ("eq-pobdd:8", "xor"),
-            ("eq-qobdd-recombined:8", "xor")]
+            ("eq-qobdd-recombined:8", "xor"), ("eq-obdd:8", "direct"), ("or-nobdd:8", "xor"),
+            ("eq-pobdd:8", "direct")]
+
+
+def _lift_meaning(base, layout, mode, xs):
+    """The lift's output on each of `xs`, propagated through the padded base
+    (a single-layer one): block by block, the base operator of the addressed
+    variable selected by the block's value bit, then the base's readout."""
+    padded = _padded(base)
+    assert padded.k == 1 and padded.layer_ends == (None,)
+    position = {v: ell for ell, v in enumerate(padded.order.perm)}
+    addr, vals = layout.decode(np.array(xs), mode)
+    out = []
+    for blocks in zip(addr.tolist(), vals.tolist()):
+        state = padded._first(1)
+        for a, v in zip(*blocks):
+            state = padded._act(state, padded._pair(position[a + 1])[v])
+        out.append(padded._readout(state)[0])
+    return np.array(out)
 
 
 @pytest.mark.parametrize("spec,mode", Q8_LIFTS)
 def test_per_input_route_matches_propagate_on_q8_lifts(spec, mode):
-    # n = 32: no truth table exists, so the batch route is `propagate`
-    layout = BlockLayout(8)
-    program = lift(parse_program_spec(spec), layout, mode)
+    # n = 32: no truth table exists, so the reference is the lift's meaning
+    layout, base = BlockLayout(8), parse_program_spec(spec)
+    program = lift(base, layout, mode)
     rng = np.random.default_rng(32)
     allowed = [layout.assemble_input(rng.permutation(layout.q), rng.integers(0, 2, layout.q), mode)
                for _ in range(24)]
-    arbitrary = [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(24)]
+    arbitrary = [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(200)]
     xs = allowed + arbitrary
-    _assert_single_matches(program, xs, propagate(program, xs))
+    _assert_single_matches(program, xs, _lift_meaning(base, layout, mode, xs))
 
 
 @pytest.mark.parametrize("spec,mode", Q8_LIFTS)
 def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkeypatch):
     # a q = 8 lift repeats 8 operator objects over its 32 levels
-    program = lift(parse_program_spec(spec), BlockLayout(8), mode)
+    layout, base = BlockLayout(8), parse_program_spec(spec)
+    program = lift(base, layout, mode)
     built, form = [], type(program)._form
 
     def counted(self, op):
@@ -112,8 +133,9 @@ def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkey
     monkeypatch.setattr(type(program), "_form", counted)
     rng = np.random.default_rng(8)
     xs = [tuple(int(b) for b in rng.integers(0, 2, program.n)) for _ in range(3)]
-    _assert_single_matches(program, xs, propagate(program, xs))
-    _assert_single_matches(program, xs, propagate(program, xs))
+    meaning = _lift_meaning(base, layout, mode, xs)
+    _assert_single_matches(program, xs, meaning)
+    _assert_single_matches(program, xs, meaning)
     operators = {id(op) for pair in program.steps for op in pair}
     ends = sum(end is not None for end in program.layer_ends)
     assert len(operators) == 8 * program.k

@@ -36,7 +36,8 @@ def test_readme_limits_table_matches_the_limits_module():
     table = readme.split("| limit | value | what it bounds |", 1)[1].split("\n\n", 1)[0]
     rows = set(re.findall(r"^\| `([A-Z_]+)` \|", table, flags=re.M))
     assert rows and not [name for name in rows if not hasattr(limits, name)]
-    constants = {name for name in vars(limits) if re.match(r"^[A-Z_]+_(CAP|ORDERS|CELLS)$", name)}
+    constants = {name for name in vars(limits)
+                 if re.match(r"^[A-Z_]+_(CAP|ORDERS|CELLS|ROWS)$", name)}
     assert constants - rows == set()
 
 

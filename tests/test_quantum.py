@@ -6,16 +6,16 @@ import pytest
 
 from ddlab import quantum
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
-from ddlab.diagrams import Pobdd, eval_obdd, eval_pobdd
+from ddlab.diagrams import _evaluate, rounded_table
 from ddlab.errors import CapacityError, ShapeError, StructuralError
 from ddlab.experiments import parse_program_spec
 from ddlab.fixtures import eq_multipliers, modp_multipliers
 from ddlab.quantum import (QuantumProgram, accept_probability, acceptance_table, check_unitary,
                            computes_with_bounded_error, from_json, is_commutative_quantum,
                            programs_equal, reorder_quantum, to_json)
-from ddlab.reorder import BlockLayout, xor_reorder_qobdd
+from ddlab.reorder import BlockLayout, lift, xor_reorder_qobdd
 from ddlab.zoo import (eq, eq_geometric_pobdd, eq_weighted_obdd, fingerprint_eq_qobdd,
-                       fingerprint_modp_qobdd, mod_p)
+                       fingerprint_modp_qobdd, mod_p, or_guess_nobdd)
 
 
 def _rot(theta):
@@ -128,25 +128,79 @@ def test_bounded_error_refuses_fewer_than_one_sample(samples):
         computes_with_bounded_error(prog, negated, 1.0 / 6.0, samples=samples)
 
 
-@pytest.mark.parametrize("build", [eq_geometric_pobdd, eq_weighted_obdd])
-def test_sampled_bounded_error_on_classical_programs_beyond_the_table_cap(build):
-    # n = 18 is above the 2**16 table cap: only the sampled inputs may be propagated
+def test_a_verdict_that_checked_no_input_fails():
+    prog = fingerprint_eq_qobdd(4, eq_multipliers(4)["multipliers"])
+    nowhere = PartialBoolFn(4, np.zeros(16, dtype=np.uint8), np.zeros(16, dtype=np.uint8))
+    verdict = computes_with_bounded_error(prog, nowhere, 1.0 / 6.0)
+    assert (verdict.ones_checked, verdict.zeros_checked) == (0, 0)
+    assert (verdict.min_one, verdict.max_zero) == (None, None)
+    assert not verdict.passed
+
+
+def test_a_sampled_verdict_that_drew_no_defined_input_fails():
+    prog = fingerprint_eq_qobdd(4, eq_multipliers(4)["multipliers"])
+    drawn = int(np.random.default_rng(0).integers(0, 16, size=1, dtype=np.int64)[0])
+    defined = np.zeros(16, dtype=np.uint8)
+    defined[(drawn + 1) % 16] = 1   # defined at one input, not the drawn one
+    target = PartialBoolFn(4, defined, eq(4).table & defined)
+    verdict = computes_with_bounded_error(prog, target, 1.0 / 6.0, samples=1, seed=0)
+    assert (verdict.ones_checked, verdict.zeros_checked) == (0, 0)
+    assert not verdict.passed
+
+
+def _halves_equal(n):
+    idx = np.arange(1 << n)
+    return (idx >> (n // 2)) == (idx & ((1 << (n // 2)) - 1))
+
+
+def _weight_divisible_by_3(n):
+    idx = np.arange(1 << n)
+    return sum((idx >> v) & 1 for v in range(n)) % 3 == 0
+
+
+@pytest.mark.parametrize("build, target", [
+    (eq_geometric_pobdd, _halves_equal), (eq_weighted_obdd, _halves_equal),
+    (or_guess_nobdd, lambda n: np.arange(1 << n) != 0),
+    (lambda n: fingerprint_modp_qobdd(3, n, modp_multipliers(3)["multipliers"]),
+     _weight_divisible_by_3),
+], ids=["eq_geometric_pobdd", "eq_weighted_obdd", "or_guess_nobdd", "fingerprint_modp_qobdd"])
+def test_sampled_bounded_error_on_classical_programs_beyond_the_table_cap(build, target):
+    # n = 18 is above the 2**16 table cap: only the sampled inputs may be walked,
+    # for the quantum weight-mod-3 tester too, whose target zoo.mod_p cannot store
     n, samples, seed = 18, 64, 11
     prog = build(n)
-    idx = np.arange(1 << n)
-    target = BoolFn(n, ((idx >> (n // 2)) == (idx & ((1 << (n // 2)) - 1))).astype(np.uint8))
+    target = BoolFn(n, target(n).astype(np.uint8))
     verdict = computes_with_bounded_error(prog, target, 0.1, samples=samples, seed=seed)
     drawn = np.random.default_rng(seed).integers(0, 1 << n, size=samples, dtype=np.int64)
-    evaluate = eval_pobdd if isinstance(prog, Pobdd) else eval_obdd
-    probs = np.array([evaluate(prog, [(int(i) >> (n - v)) & 1 for v in range(1, n + 1)])
+    probs = np.array([_evaluate(prog, [(int(i) >> (n - v)) & 1 for v in range(1, n + 1)])
                       for i in drawn], dtype=np.float64)
     ones, zeros = probs[target.table[drawn] == 1], probs[target.table[drawn] == 0]
     assert (verdict.ones_checked, verdict.zeros_checked) == (ones.size, zeros.size)
     assert verdict.ones_checked + verdict.zeros_checked == samples
-    assert verdict.max_zero == pytest.approx(zeros.max(), abs=1e-12)
-    if ones.size:
-        assert verdict.min_one == pytest.approx(ones.min(), abs=1e-12)
+    assert verdict.min_one == (pytest.approx(ones.min(), abs=1e-12) if ones.size else None)
+    assert verdict.max_zero == (pytest.approx(zeros.max(), abs=1e-12) if zeros.size else None)
     assert verdict.passed
+
+
+@pytest.mark.parametrize("spec, mode", [("eq-obdd:4", "xor"), ("or-nobdd:4", "direct"),
+                                        ("eq-pobdd:4", "xor"), ("eq-qobdd:4", "xor")])
+def test_sampled_verdict_reads_the_whole_table_at_the_drawn_inputs(spec, mode):
+    # n = 12 <= TABLE_CAP: the per-input walk of the sampled route against the
+    # table, on lifts, whose outputs change when the input is read back to front
+    prog = lift(parse_program_spec(spec), BlockLayout(4), mode)
+    n, samples, seed = prog.n, 256, 5
+    # the program's own rounded outputs, on a random half of the inputs
+    defined = np.random.default_rng(12).integers(0, 2, 1 << n)
+    target = PartialBoolFn(n, defined, rounded_table(prog))
+    verdict = computes_with_bounded_error(prog, target, 0.1, samples=samples, seed=seed)
+    drawn = np.random.default_rng(seed).integers(0, 1 << n, size=samples, dtype=np.int64)
+    drawn = drawn[target.defined[drawn] == 1]
+    probs = acceptance_table(prog)[drawn]
+    ones, zeros = probs[target.values[drawn] == 1], probs[target.values[drawn] == 0]
+    assert ones.size and zeros.size
+    assert (verdict.ones_checked, verdict.zeros_checked) == (ones.size, zeros.size)
+    assert verdict.min_one == pytest.approx(ones.min(), abs=1e-12)
+    assert verdict.max_zero == pytest.approx(zeros.max(), abs=1e-12)
 
 
 def test_reorder_quantum_applies_pairs_by_new_order():

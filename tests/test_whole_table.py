@@ -1,25 +1,24 @@
-"""The prefix-trie table against `propagate` on every input.
+"""The prefix-trie table against the per-input route on every input.
 
 `diagrams._whole_table` builds a program's whole truth table in one pass in
 its own order: the first layer's levels double a prefix trie of states, and
-the levels past log2(_CHUNK_ROWS) are fixed per block of rows. `propagate`
-runs a given batch of inputs through the levels. On the batch of all 2**n
-inputs both must give the same outputs: exactly for 0/1 outputs and within
-1e-12 for acceptance probabilities. The table must also stay within the
-memory of one chunk of state rows, and refuse an n above limits.TABLE_CAP
-before any operator acts.
+the levels past log2(limits.CHUNK_ROWS) are fixed per block of rows. The
+per-input route, `diagrams._evaluate`, propagates one input at a time through
+the levels. On every input both must give the same outputs: exactly for 0/1
+outputs and within 1e-12 for acceptance probabilities. The table must also
+stay within the memory of one chunk of state rows, and refuse an n above
+limits.TABLE_CAP before any operator acts.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 from test_commutativity_routes import RANDOM_KINDS
-from test_dual_route import PROGRAM_SPECS
+from test_dual_route import PROGRAM_SPECS, _assert_single_matches
 
-from ddlab import diagrams, quantum
+from ddlab import diagrams, limits, quantum
 from ddlab.boolfn import BoolFn
-from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table, propagate,
-                            rounded_table)
+from ddlab.diagrams import LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table, rounded_table
 from ddlab.errors import CapacityError
 from ddlab.experiments import parse_program_spec
 from ddlab.reorder import BlockLayout, lift
@@ -32,13 +31,10 @@ LIFTS = ([("%s:%d" % (base, q), mode) for q in (2, 4)
 
 
 def _assert_table_matches_propagate(program):
+    # the per-input route propagates each input through the levels
     table = _whole_table(program)
-    reference = propagate(program, _all_inputs(program.n))
-    assert table.shape == reference.shape == (1 << program.n,)
-    if isinstance(program, (LeveledObdd, Nobdd)):
-        assert table.dtype == reference.dtype and np.array_equal(table, reference)
-    else:
-        np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
+    assert table.shape == (1 << program.n,)
+    _assert_single_matches(program, _all_inputs(program.n), table)
 
 
 @pytest.mark.parametrize("spec", PROGRAM_SPECS + ["pj-2k:3,2", "rpj-2k:1,2", "tree:eq:6",
@@ -62,7 +58,7 @@ def test_table_matches_propagate_on_random_programs(kind):
 
 
 # --------------------------------------------------------------------------
-# memory: at most _CHUNK_ROWS state rows at a time; the cap comes first
+# memory: at most limits.CHUNK_ROWS state rows at a time; the cap comes first
 
 
 def _n12_programs():
@@ -76,7 +72,7 @@ def _n12_programs():
 def test_table_in_blocks_of_chunk_rows_matches_and_stays_within_the_budget(monkeypatch):
     programs = _n12_programs()
     whole = [_whole_table(p) for p in programs]
-    monkeypatch.setattr(diagrams, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(limits, "CHUNK_ROWS", 64)
     for program, expected in zip(programs, whole):
         assert program.n == 12
         state_bytes = 64 * program._first(1).nbytes
