@@ -14,8 +14,6 @@ defined mask is zero.
 from __future__ import annotations
 
 import heapq
-from itertools import chain, islice, permutations
-from math import factorial
 
 import numpy as np
 
@@ -296,31 +294,46 @@ def _count_for_varset(f, left_vars):
         for r, key in enumerate(map(bytes, np.packbits(np.hstack([mask, vals]), axis=1))):
             distinct.setdefault(key, r)
         keep = list(distinct.values())   # the first row of each, in row order
-        return _max_conflict_clique(mask[keep], vals[keep])
+        return _max_clique(_conflict_adjacency(mask[keep], vals[keep]))
     return len(set(map(bytes, np.packbits(matrix(f.table), axis=1))))
 
 
-def _max_conflict_clique(mask_rows, val_rows, floor=0):
-    """Largest set of rows that pairwise provably differ.
+def _conflict_adjacency(mask_rows, val_rows):
+    """Conflict graph of partial rows as one adjacency bitset (an int) per row.
 
     Rows are 0/1 arrays (defined mask, canonical values). Two partial rows
-    conflict iff some commonly-defined column carries different values. Branch
-    and bound with greedy coloring on the conflict graph. With a `floor`, the
-    result is max(floor, clique size), and cliques no larger than the floor
-    are not searched for.
+    conflict iff some commonly-defined column carries different values.
     """
     d = mask_rows.shape[0]
-    if d <= 1 or d <= floor:
-        return max(d, floor)
     # ones[i] @ zeros[j] counts the columns where row i is 1 and row j a defined 0
     ones = val_rows.astype(np.float64)
     zeros = mask_rows.astype(np.float64) - ones
     conflict = np.concatenate([(ones[lo:lo + 256] @ zeros.T + zeros[lo:lo + 256] @ ones.T) > 0
                                for lo in range(0, d, 256)])
-    # one buffer of little-endian bitset rows, cut into one int per row
-    stride = (d + 7) // 8
-    buf = np.packbits(conflict, axis=1, bitorder="little").tobytes()
-    adj = [int.from_bytes(buf[lo:lo + stride], "little") for lo in range(0, d * stride, stride)]
+    bitsets = np.zeros((d, (d + 63) // 64 * 8), dtype=np.uint8)
+    bitsets[:, :(d + 7) // 8] = np.packbits(conflict, axis=1, bitorder="little")
+    return _bitset_ints(bitsets)
+
+
+def _bitset_ints(bitsets):
+    """One int per row of a (rows, 8 * words) array of little-endian bitsets."""
+    words = bitsets.view("<u8")
+    ints = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        ints = [i | w << 64 * k for i, w in zip(ints, words[:, k].tolist())]
+    return ints
+
+
+def _max_clique(adj, floor=0):
+    """Size of the largest clique of the graph with adjacency bitsets `adj`.
+
+    Here the largest set of rows that pairwise provably differ. Branch and
+    bound with greedy coloring. With a `floor`, the result is max(floor,
+    clique size), and cliques no larger than the floor are not searched for.
+    """
+    d = len(adj)
+    if d <= 1 or d <= floor:
+        return max(d, floor)
     best = max(1, floor)
 
     def expand(size, cand):
@@ -384,7 +397,8 @@ def n_min(f, strategy="auto"):
     used as a cross-check. The enumeration costs each of the 2**n - 2 proper
     non-empty prefix sets once with `_count_for_varset`, independently of the
     search's cofactor rows, and then takes the width of every order from that
-    table, a block of (n-1)! orders at a time.
+    table, a block of (n-1)! orders per first variable: the (n-1)! orders of
+    the other variables are built once, and each block is one `take` of them.
 
     The search is the Friedman & Supowit subset DP (IEEE Trans. Computers
     39(5), 1990) evaluated best-first. A node is a prefix set S of variables;
@@ -392,10 +406,11 @@ def n_min(f, strategy="auto"):
     order is the largest cost on its chain of prefix sets. The search keeps
     the distinct cofactors of S as bit-packed rows: the rows of S + {v} are
     the deduplicated v=0 and v=1 halves of the rows of S, so a cost is built
-    from its parent's rows instead of from the table. For a total function
-    the cost is the number of rows; for a partial one a row is a
-    (defined, value) pair and the cost is the largest set of pairwise
-    conflicting rows, searched for only when the row count exceeds the key.
+    from its parent's rows instead of from the table. The halves are cut from
+    the packed rows without unpacking them. For a total function the cost is
+    the number of rows; for a partial one a row is a (defined, value) pair
+    and the cost is the largest set of pairwise conflicting rows, searched
+    for only when the row count exceeds the key.
     Every order has a last cut, so every key starts from the cheapest last
     cut, read from the table in one pass; the first cuts come from the
     root's expansion.
@@ -405,8 +420,11 @@ def n_min(f, strategy="auto"):
     next, so a search that has reached its bound goes depth first. The
     first pop of a group takes its newest set alone; later pops take its
     sets newest first until their children's rows would exceed
-    `limits.SEARCH_BATCH_CELLS` unpacked cells, and `_split_rows` costs all
-    new children of the batch at once. Popped keys never decrease, so the
+    `limits.SEARCH_BATCH_CELLS` bits. `_split_rows` costs all new children of
+    the batch at once: one gather of packed parent rows, the halves cut in the
+    packed domain, one `np.unique` over (child, row) keys and, for a partial
+    function, one conflict pass over every child that needs a clique, chunked
+    under the same bound. Popped keys never decrease, so the
     first time a set is reached gives its smallest key: a `seen` mask keeps
     later parents out, and the first parent is kept for the witness order.
     A set's rows are dropped once it has been expanded.
@@ -422,16 +440,18 @@ def n_min(f, strategy="auto"):
         table = np.zeros(1 << n, dtype=np.int32)
         for mask in range(1, (1 << n) - 1):
             table[mask] = _count_for_varset(f, [v for v in range(1, n + 1) if mask >> (n - v) & 1])
-        # Then the width of every order. permutations() yields them in blocks of
-        # (n-1)! that share a first variable.
-        bits = np.array([0] + [1 << (n - v) for v in range(1, n + 1)], dtype=np.uint16)
-        block = factorial(n - 1)
-        orders = permutations(range(1, n + 1))
+        # Then the width of every order, a block of (n-1)! orders per first
+        # variable: all orders of the other variables, as positions into them.
+        bits = np.array([1 << (n - v) for v in range(1, n + 1)], dtype=np.uint16)
+        perms = np.zeros((1, 0), dtype=np.intp)
+        for k in range(n - 1):
+            perms = np.concatenate([np.insert(perms, i, k, axis=1) for i in range(k + 1)])
         best = []
-        for _ in range(n):
-            perms = np.fromiter(chain.from_iterable(islice(orders, block)), np.uint8, block * n)
-            prefixes = np.cumsum(bits[perms.reshape(block, n)[:, :-1]], axis=1, dtype=np.uint16)
-            best.append(int(table[prefixes].max(axis=1).min()))
+        for v in range(n):
+            first = bits[v]
+            rest = np.delete(bits, v).take(perms[:, :-1])
+            prefixes = np.cumsum(rest, axis=1, dtype=np.uint16) + first
+            best.append(max(int(table[first]), int(table[prefixes].max(axis=1, initial=0).min())))
         return min(best)
     limits.check(n, limits.DP_CAP, "n of the min-width search")
     if isinstance(f, BoolFn):
@@ -453,10 +473,6 @@ def _min_width_order(f):
     return _bottleneck_search(planes, f.n)
 
 
-def _clique_cost(rows, floor):
-    return _max_conflict_clique(rows[:, 0], rows[:, 1], floor)
-
-
 def _last_cut_costs(planes, n):
     """Cost of every last cut, all variables but x_v, per v, from the table.
 
@@ -473,8 +489,9 @@ def _last_cut_costs(planes, n):
     for v in range(1, n + 1):
         halves = col.reshape(1 << (v - 1), 2, -1)
         present = np.flatnonzero(np.bincount((halves[:, 0] << c | halves[:, 1]).ravel()))
+        rows = (present[:, None, None] >> shifts) & 1   # (code, plane, column)
         costs.append(len(present) if c == 1 else
-                     _clique_cost((present[:, None, None] >> shifts) & 1, 0))
+                     _max_clique(_conflict_adjacency(rows[:, 0], rows[:, 1])))
     return costs
 
 
@@ -507,7 +524,7 @@ def _bottleneck_search(planes, n):
         if m == 1:
             return key, _chain_order(parent, group[-1], n)
         # The first pop of a group probes depth first with one set; later pops
-        # take sets until their children's unpacked rows would pass the bound.
+        # take sets until their children's row bits would pass the bound.
         batch, cells = [], 0
         while group and (not batch or group_key in probed):
             if m > 2:   # below a set with two free variables lie only last cuts
@@ -555,50 +572,111 @@ def _chain_order(parent, final, n):
     return VarOrder(order[::-1])
 
 
+# For a split variable whose runs are 2**e bits long (e = 0, 1, 2), the two
+# halves of a packed byte: _HALVES[e << 8 | byte] holds the v=0 and the v=1
+# bits as two bytes, each bit group in the high nibble, so that a shift by 4
+# moves both into the low nibbles in either byte order.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_HALVES = np.stack([
+    np.packbits(_BYTE_BITS.reshape(256, 4 >> e, 2, 1 << e).transpose(0, 2, 1, 3).reshape(256, 2, 4),
+                axis=2)[..., 0]
+    for e in range(3)]).view(np.uint16).ravel()
+
+
 def _split_rows(rows, which, ranks, children, m, c, floor, packed):
     """Distinct rows and costs of the children of a batch of sets, in one pass.
 
-    `rows` are the packed distinct rows of the batch's sets, each shaped
-    (rows, c planes x 2**m columns), the columns listing the set's free
-    variables lowest-numbered first; child i comes from set `which[i]` by
-    fixing the free variable of rank `ranks[i]`. Each child's two halves are
-    gathered into one array, and one unique over (child, packed row) keys
-    deduplicates them all. Stores the packed rows of every child that will
-    need them in `packed`, and returns the costs; a cost at most `floor` may
-    be returned as any value up to `floor`.
+    `rows` are the packed distinct rows of the batch's sets, c planes of
+    2**m columns each, the columns listing the set's free variables
+    lowest-numbered first; child i comes from set `which[i]` by fixing the
+    free variable of rank `ranks[i]`, whose v=0 and v=1 runs in a plane are
+    2**(m-1-rank) bits long. The halves stay packed: runs of whole bytes are
+    cut out by one reshape per rank, and the rows of the last three ranks
+    (runs of 4, 2 or 1 bits) all go through one `_HALVES` lookup, whose
+    nibbles are then paired into bytes (a plane of 4 bits pairs its nibble
+    with itself). One unique over (child, packed row) keys deduplicates all
+    children. Stores the packed rows of every child that will need them in
+    `packed`, and returns the costs; a cost at most `floor` may be returned
+    as any value up to `floor`.
     """
     depth = np.array([len(r) for r in rows])
-    offsets = np.cumsum(depth) - depth
+    offsets = depth.cumsum() - depth
     # the packed parent rows of every child, children grouped by rank
     by_rank = np.argsort(ranks, kind="stable")
     lens = depth[which[by_rank]]
-    ends = np.cumsum(lens)
+    ends = lens.cumsum()
     idx = np.repeat(offsets[which[by_rank]] - ends + lens, lens) + np.arange(ends[-1])
-    table = np.unpackbits(np.concatenate(rows)[idx], axis=1, count=c << m)
-    # the v=0 halves of all children, then the v=1 halves, one reshape per rank
-    halves = np.empty((2, len(table), c << (m - 1)), dtype=np.uint8)
-    rank_ends = np.concatenate(([0], ends))[np.cumsum(np.bincount(ranks, minlength=m))]
+    table = np.concatenate(rows)[idx]
+    row_bytes = table.shape[1]
+    half = max(row_bytes >> 1, c)
+    keys = np.empty((2, len(table), half + 4), dtype=np.uint8)
+    row_child = np.repeat(by_rank, lens)
+    keys[:, :, :4].view(">u4")[..., 0] = row_child
+    body = keys[:, :, 4:]   # the v=0 halves of all children, then the v=1 halves
+    rank_ends = np.concatenate(([0], ends))[np.bincount(ranks, minlength=m).cumsum()]
     lo = 0
-    for a, hi in enumerate(rank_ends.tolist()):
+    for a, hi in enumerate(rank_ends[:m - 3].tolist()):   # runs of whole bytes
         if hi > lo:
             split = table[lo:hi].reshape(hi - lo, c, 1 << a, 2, -1)
-            halves[:, lo:hi].reshape(2, hi - lo, c, 1 << a, -1)[...] = split.transpose(3, 0, 1, 2, 4)
+            body[:, lo:hi].reshape(2, hi - lo, c, 1 << a, -1)[...] = split.transpose(3, 0, 1, 2, 4)
         lo = hi
-    body = np.packbits(halves, axis=2)
-    width = body.shape[2] + 4
-    keys = np.empty((2, len(table), width), dtype=np.uint8)
-    keys[:, :, :4].view(">u4")[..., 0] = np.repeat(by_rank, lens)
-    keys[:, :, 4:] = body
+    # one lookup for the runs of 4, 2 and 1 bits, then one byte per two nibbles
+    lookup = (m - 1 - ranks[row_child[lo:]]) << 8   # the table of each row's run length
+    nibbles = _HALVES.take(lookup[:, None] | table[lo:]).reshape(-1, half, row_bytes // half)
+    paired = nibbles[:, :, 0] | nibbles[:, :, -1] >> 4
+    body[:, lo:] = paired.view(np.uint8).reshape(-1, half, 2).transpose(2, 0, 1)
+    width = half + 4
     distinct = np.unique(keys.view(np.dtype((np.void, width))).ravel()).view(np.uint8)
     distinct = distinct.reshape(-1, width)
     costs = np.bincount(distinct[:, :4].copy().view(">u4").ravel(), minlength=len(children))
     distinct = distinct[:, 4:]
-    stops = np.cumsum(costs).tolist()
-    for i, (child, count) in enumerate(zip(children.tolist(), costs.tolist())):
-        child_rows = distinct[stops[i] - count:stops[i]]
-        if m > 3:   # below a set with two free variables lie only last cuts
-            packed[child] = child_rows
-        if c == 2 and count > floor:   # the row count bounds the clique
-            unpacked = np.unpackbits(child_rows, axis=1, count=c << (m - 1))
-            costs[i] = _clique_cost(unpacked.reshape(count, c, 1 << (m - 1)), floor)
+    if m > 3:   # below a set with two free variables lie only last cuts
+        stops = costs.cumsum().tolist()
+        for child, start, stop in zip(children.tolist(), [0] + stops, stops):
+            packed[child] = distinct[start:stop]
+    if c == 2:
+        costs = _clique_costs(distinct, costs, floor)
+    return costs
+
+
+def _clique_costs(rows, counts, floor):
+    """Conflict-clique costs of children whose packed (mask, value) rows are
+    consecutive in `rows`, `counts[i]` rows for child i.
+
+    A child with at most `floor` rows keeps its count. The rows of the others
+    take two forms in machine words: a row's ones (its values) then its zeros
+    (mask and not value), and its zeros then its ones. Two rows conflict iff
+    the first form of one meets the second form of the other. The children
+    are padded to a common row count with rows that meet nothing, and a
+    (word, child, row, row) stack of ANDs gives their conflict bitsets, built
+    a block of children and rows at a time so that no step holds more than
+    `limits.SEARCH_BATCH_CELLS` bytes; `_max_clique` takes each child's
+    bitsets from there.
+    """
+    hot = counts > floor
+    hot_counts = counts[hot]
+    if not len(hot_counts):
+        return counts
+    mask, ones = np.split(rows[np.repeat(hot, counts)], 2, axis=1)
+    zeros = mask & ~ones
+    word = np.dtype("u%d" % min(rows.shape[1], 8))   # row widths are powers of two
+    forms = np.stack((np.hstack((ones, zeros)), np.hstack((zeros, ones)))).view(word).transpose(0, 2, 1)
+    d = int(hot_counts.max())
+    valid = np.arange(d) < hot_counts[:, None]
+    starts = np.concatenate(([0], hot_counts.cumsum())).tolist()
+    bitsets = np.zeros(valid.shape + ((d + 63) // 64 * 8,), dtype=np.uint8)
+    per = max(1, limits.SEARCH_BATCH_CELLS // (d * rows.shape[1]))   # left rows per step
+    child_step, row_step = max(1, per // d), min(d, per)
+    for k in range(0, len(hot_counts), child_step):
+        block = valid[k:k + child_step]
+        left, right = np.zeros((2, forms.shape[1]) + block.shape, dtype=word)
+        left[:, block], right[:, block] = forms[:, :, starts[k]:starts[k + len(block)]]
+        for i in range(0, d, row_step):
+            conflict = (left[:, :, i:i + row_step, None] & right[:, :, None]).any(axis=0)
+            bitsets[k:k + child_step, i:i + row_step, :(d + 7) // 8] = \
+                np.packbits(conflict, axis=2, bitorder="little")
+    adj = _bitset_ints(bitsets[valid])
+    costs = counts.copy()
+    for child, start, stop in zip(np.flatnonzero(hot).tolist(), starts, starts[1:]):
+        costs[child] = _max_clique(adj[start:stop], floor)
     return costs

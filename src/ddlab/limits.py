@@ -26,7 +26,8 @@ EXACT_TOL = 1e-12  # the initial quantum state's norm, multiplier-search targets
 
 EXHAUSTIVE_PERM_CAP = 5       # up to this n, commutativity is checked on all n! orders
 COMMUTATIVITY_ORDERS = 200    # orders `is_commutative` (and so the lift's gate) samples
-SEARCH_BATCH_CELLS = 1 << 20  # unpacked child-row cells of a multi-set batch of the width search
+SEARCH_BATCH_CELLS = 1 << 20  # child-row bits of a multi-set batch of the width search, and
+                              # bytes of one step of a batch's conflict stack
 CHUNK_ROWS = 4096             # state rows of a whole-table block, Nobdd float blocks (1/16 of
                               # it) and the product rows of a commutativity-certificate group
 

@@ -263,7 +263,25 @@ def pj_output_bit(k, a, x):
 def pj_bool(k, a):
     """Truth table of the pointer-jumping output bit over the encoding bits."""
     n = pj_input_length(a)
-    return BoolFn(n, [pj_output_bit(k, a, x) for x in index_bits(limits.table_indexes(n), n)])
+    return BoolFn(n, _pj_outputs(k, a, index_bits(limits.table_indexes(n), n)))
+
+
+def _pj_outputs(k, a, bits):
+    """`pj_output_bit` of every row of the (B, pj_input_length(a)) bit matrix `bits`."""
+    a, k = int(a), int(k)
+    if a < 2:
+        raise ShapeError("side size must be at least 2")
+    if k < 0:
+        raise ShapeError("iteration count must be nonnegative")
+    w = _pj_field_bits(a)
+    fields = (bits.reshape(-1, 2 * a, w) @ (1 << np.arange(w - 1, -1, -1))) % a   # by vertex
+    rows = np.arange(fields.shape[0])
+    v = np.zeros(fields.shape[0], dtype=np.int64)
+    for _ in range(k):
+        image = fields[rows, v]
+        v = np.where(v < a, image + a, image)
+    parity = np.array([bin(u).count("1") & 1 for u in range(2 * a)], dtype=np.uint8)
+    return parity[v]
 
 
 def pj_2k_obdd(k, a):

@@ -309,11 +309,89 @@ def _search_peak(f):
 
 
 def test_n_min_search_memory_is_bounded_by_the_batch_cells():
-    # A batch unpacks at most SEARCH_BATCH_CELLS one-byte cells of child rows
-    # plus as many of gathered parent rows; the rest is O(2**n) bookkeeping.
-    # Without the bound the partial instance peaks near 4 MiB.
+    # A batch makes at most SEARCH_BATCH_CELLS bits of child rows, and a step
+    # of its conflict stack at most as many bytes. Without the bound the
+    # partial instance peaks near 5 MiB.
     assert _search_peak(eq(16)) <= 4 << 20
     assert _search_peak(reorder_function(eq(4), BlockLayout(4), "xor")) <= 3 << 20
+
+
+def test_n_min_partial_search_memory_is_bounded_by_the_batch_cells():
+    # an everywhere-defined partial function at n = 14 puts wide rows of many
+    # children through the conflict stacks
+    assert _search_peak(PartialBoolFn.total(parse_function_spec("reqb:14,12"))) <= 7 << 20
+
+
+def _planes(f):
+    return (f.table,) if isinstance(f, BoolFn) else (f.defined, f.values)
+
+
+def _packed_rows(f, fixed):
+    """Reference: the distinct rows of the (fixed) x (free, lowest-numbered first)
+    matrix, planes side by side, packed."""
+    n = f.n
+    free = [v for v in range(1, n + 1) if v not in fixed]
+    axes = [v - 1 for v in list(fixed) + free]
+    mats = [p.reshape((2,) * n).transpose(axes).reshape(1 << len(fixed), -1) for p in _planes(f)]
+    return np.unique(np.packbits(np.hstack(mats), axis=1), axis=0)
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["c1", "c2"])
+def test_split_rows_matches_the_reference_at_every_depth(partial):
+    # Every rank is split at every depth m, so the byte-run ranks, the three
+    # sub-byte ranks and, for c = 1 at m = 3, the half-byte rows are all met;
+    # each batch holds the children of two parents.
+    n = 7
+    rng = np.random.default_rng(40 + partial)
+    f = BoolFn(n, rng.integers(0, 2, size=1 << n))
+    if partial:
+        f = PartialBoolFn(n, (rng.random(1 << n) < 0.6).astype(np.uint8), f.table)
+    c = len(_planes(f))
+    for m in range(n, 2, -1):
+        parents = list({tuple(sorted(rng.choice(np.arange(1, n + 1), n - m, replace=False).tolist()))
+                        for _ in range(2)})
+        which, ranks, fixed = [], [], []
+        for i, parent in enumerate(parents):
+            free = [v for v in range(1, n + 1) if v not in parent]
+            for rank, v in enumerate(free):
+                which.append(i)
+                ranks.append(rank)
+                fixed.append(tuple(sorted(parent + (v,))))
+        children = np.array([sum(1 << (n - v) for v in child) for child in fixed])
+        packed = {}
+        costs = boolfn._split_rows([_packed_rows(f, parent) for parent in parents],
+                                   np.array(which), np.array(ranks), children, m, c, 0, packed)
+        assert costs.tolist() == [_count_for_varset(f, child) for child in fixed]
+        if m > 3:
+            for child, mask in zip(fixed, children.tolist()):
+                assert set(map(bytes, packed[mask])) == set(map(bytes, _packed_rows(f, child)))
+        else:
+            assert packed == {}
+
+
+def test_batched_cliques_match_the_per_child_route(monkeypatch):
+    calls = []
+    batched = boolfn._clique_costs
+
+    def recording(rows, counts, floor):
+        calls.append((rows.copy(), counts.copy(), floor))
+        return batched(rows, counts, floor)
+
+    monkeypatch.setattr(boolfn, "_clique_costs", recording)
+    n_min(reorder_function(eq(4), BlockLayout(4), "xor"))
+    monkeypatch.undo()
+    assert sum(len(counts) for _, counts, _ in calls) > 1000
+    for cells in (limits.SEARCH_BATCH_CELLS, 64):   # one step per batch, then many
+        monkeypatch.setattr(limits, "SEARCH_BATCH_CELLS", cells)
+        for rows, counts, key in calls[::3]:
+            for floor in (0, key):
+                got = batched(rows, counts, floor)
+                stops = np.cumsum(counts)
+                for child, stop in enumerate(stops.tolist()):
+                    bits = np.unpackbits(rows[stop - counts[child]:stop], axis=1)
+                    mask, values = np.split(bits, 2, axis=1)
+                    expected = boolfn._max_clique(boolfn._conflict_adjacency(mask, values), floor)
+                    assert max(int(got[child]), floor) == expected
 
 
 def test_n_min_closed_forms_at_n_14_and_16():

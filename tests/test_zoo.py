@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddlab import limits
 from ddlab.boolfn import BoolFn, VarOrder, evaluate, n_min
-from ddlab.diagrams import function_of, is_commutative, width
+from ddlab.diagrams import function_of, index_bits, is_commutative, width
 from ddlab.errors import ShapeError
 from ddlab.fixtures import (eq_multipliers, load_multiplier_fixtures, modp_multipliers,
                             recombined_eq_multipliers)
@@ -18,7 +19,7 @@ from ddlab.zoo import (PjInstance, RpjLayout, eq, eq_acceptance_formula,
                        or_guess_nobdd, pj_2k_obdd, pj_bool, pj_decode, pj_encode,
                        pj_eval, pj_input_length, pj_output_bit, req, req_b,
                        req_layout_for_bits, rpj, rpj_2k_obdd,
-                       search_good_multipliers, ws, ws_b, _rpj_core)
+                       search_good_multipliers, ws, ws_b, _pj_outputs, _rpj_core)
 
 
 def test_eq_basics():
@@ -141,6 +142,26 @@ def test_pj_bool_one_step_reads_single_field():
     assert f.n == 8
     assert f == BoolFn.from_callable(8, lambda x: 1 - x[1])
     assert n_min(f) == 1
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_pj_bool_matches_the_per_input_reference(a):
+    # a = 3 has n = 18 > TABLE_CAP, so its rows are a seeded sample of inputs
+    n = pj_input_length(a)
+    if n <= limits.TABLE_CAP:
+        idx = limits.table_indexes(n)
+    else:
+        idx = np.random.default_rng(a).integers(0, 1 << n, size=4096)
+    bits = index_bits(idx, n)
+    for k in range(4):
+        expected = [pj_output_bit(k, a, x) for x in bits]
+        assert _pj_outputs(k, a, bits).tolist() == expected
+        if n <= limits.TABLE_CAP:
+            assert pj_bool(k, a).table.tolist() == expected
+    with pytest.raises(ShapeError):
+        pj_bool(-1, 2)
+    with pytest.raises(ShapeError):
+        pj_bool(1, 1)
 
 
 def test_pj_walk_program_matches_function():
