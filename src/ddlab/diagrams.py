@@ -27,7 +27,9 @@ a plain list for an index map, built once per distinct operator object on
 the first per-input call. The state holds only the live nodes: one node, the
 set of reachable nodes, or a dict from each node with mass to its mass. So a
 step costs what one input's state needs, not the whole operator. The quantum
-kind keeps its dense `g @ state` step.
+kind walks a dense amplitude vector: an operator that is exactly a 0/1
+permutation matrix has an index array as its form and its step is a gather;
+any other unitary stays a dense `g @ state` product.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -200,8 +202,11 @@ class LeveledProgram:
         return states @ op
 
     def _end(self, states, end):
+        # column by column in source order: the sums are added in np.add.at's
+        # order, several times faster than its 2-d path; on booleans += is or
         mapped = np.zeros_like(states)
-        np.add.at(mapped.T, end, states.T)
+        for i, t in enumerate(end.tolist()):
+            mapped[:, t] += states[:, i]
         return mapped
 
     def _pad(self, op, width):

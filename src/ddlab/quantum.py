@@ -7,9 +7,11 @@ A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
 matrix acting on a column of amplitudes, so it runs on the same two routes as
 the classical kinds: `diagrams._whole_table` for every input and
 `diagrams._evaluate` for one input. A batch of row states is multiplied by
-`g.T`. One input applies `g @ state` and checks the norm after each step:
-its per-input step stays a dense product, since a unitary has no sparse rows
-to skip and scalar columns would be slower.
+`g.T`. One input gathers its amplitudes through each operator that is exactly
+a 0/1 permutation matrix (most levels of a lift, which move blocks between
+slots) and applies every other operator as a dense `g @ state`, checking the
+norm after each dense step. A gather neither rounds nor changes the norm, so
+the acceptance is the dense walk's, bit for bit.
 
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
@@ -56,7 +58,7 @@ class QuantumProgram(LeveledProgram):
     states is multiplied by `g.T`, and the lift's operators are the
     transposes of the classical row-vector ones."""
 
-    __slots__ = ("dim", "initial", "accept")
+    __slots__ = ("dim", "initial", "accept", "_accept_idx")
     _FIELDS = ("n", "dim", "order", "initial", "steps", "accept", "k")
 
     def __init__(self, n, dim, order, initial, steps, accept, k=1):
@@ -101,6 +103,7 @@ class QuantumProgram(LeveledProgram):
         if any(not 1 <= s <= self.dim for s in acc):
             raise StructuralError("accepting set must be a subset of {1..dim}")
         self.accept = acc
+        self._accept_idx = np.array(sorted(acc), dtype=np.intp) - 1
 
     def _pair(self, ell):
         return self.steps[ell % self.n]
@@ -112,19 +115,32 @@ class QuantumProgram(LeveledProgram):
         return states @ np.swapaxes(g, -1, -2)   # g may be a stack of operators
 
     def _form(self, g):
+        """Per-input form of a unitary: when g is exactly a 0/1 permutation
+        matrix, the index array src with (g @ state)[r] == state[src[r]];
+        otherwise g itself."""
+        flat = np.flatnonzero(g)
+        rows, src = np.divmod(flat, self.dim)
+        if (flat.size == self.dim and np.array_equal(rows, np.arange(self.dim))
+                and np.all(g.ravel()[flat] == 1) and np.bincount(src).max() == 1):
+            return src
         return g
 
     def _walk(self, forms):
+        """The final amplitudes. A permutation form is a gather, which only
+        moves amplitudes, so the norm is checked after the dense steps alone."""
         state = self.initial
-        for g in forms:
-            state = g @ state
+        for form in forms:
+            if form.ndim == 1:
+                state = state[form]
+                continue
+            state = form @ state
             norm = math.sqrt(np.vdot(state, state).real)
             if abs(norm - 1.0) > limits.TOL:
                 raise StructuralError("state norm drifted to %.15g during the run" % norm)
         return state
 
     def _readout(self, states):
-        return np.sum(np.abs(states[..., [s - 1 for s in sorted(self.accept)]]) ** 2, axis=-1)
+        return np.sum(np.abs(states[..., self._accept_idx]) ** 2, axis=-1)
 
     @classmethod
     def _map_op(cls, m, width):

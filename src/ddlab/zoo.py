@@ -625,7 +625,7 @@ def fingerprint_modp_qobdd(p, n, multipliers):
     g1 = w @ _ensemble_blockdiag([math.pi * k / p for k in ks]) @ w.conj().T
     initial = np.zeros(2 * t, dtype=np.complex128)
     initial[0] = 1.0
-    steps = [(np.eye(2 * t, dtype=np.complex128), g1) for _ in range(n)]
+    steps = [(np.eye(2 * t, dtype=np.complex128), g1)] * n
     return QuantumProgram(
         n=n,
         dim=2 * t,

@@ -170,6 +170,28 @@ def test_boolean_product_equals_the_integer_product(states, ops):
     assert product.dtype == bool and np.array_equal(product, expected)
 
 
+@pytest.mark.parametrize("program", [eq_geometric_pobdd(2), or_guess_nobdd(2)],
+                         ids=["float", "bool"])
+def test_layer_end_adds_in_the_order_of_np_add_at(program):
+    # sources 0, 3, 4 and 6 all land on node 2, and node 4 receives none;
+    # the large entries make a float sum depend on the order of its terms
+    rng = np.random.default_rng(6)
+    end = np.array([2, 0, 5, 2, 2, 1, 2, 3])
+    if program._DTYPE is bool:
+        states = rng.random((300, 8)) < 0.3
+    else:
+        states = rng.random((300, 8)) * 10.0 ** rng.integers(-8, 17, (300, 8))
+        states[:, [0, 3, 4, 6]] *= [1.0, 1.0, -1.0, 1.0]
+    reference = np.zeros_like(states)
+    np.add.at(reference.T, end, states.T)
+    mapped = program._end(states, end)
+    assert mapped.dtype == states.dtype and np.array_equal(mapped, reference)
+    if program._DTYPE is not bool:
+        # a sum in another order than np.add.at's differs on some row
+        reordered = states[:, [6, 4, 3, 0]].sum(axis=1)
+        assert not np.array_equal(mapped[:, 2], reordered)
+
+
 def test_pobdd_rows_must_be_stochastic():
     good = np.array([0.5, 0.5])
     with pytest.raises(StructuralError):

@@ -20,7 +20,7 @@ from ddlab.quantum import QuantumProgram, accept_probability
 from ddlab.quantum import acceptance_table as quantum_acceptance_table
 from ddlab.reorder import (BlockLayout, lift, reorder_nobdd, reorder_obdd, reorder_pobdd,
                            xor_reorder_qobdd)
-from ddlab.zoo import pj_2k_obdd
+from ddlab.zoo import fingerprint_eq_qobdd, pj_2k_obdd
 
 PROGRAM_SPECS = ["eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4", "modp-qobdd:3,5",
                  "tree:eq:4", "pj-2k:2,2", "rpj-core:1,2"]
@@ -106,17 +106,33 @@ def _lift_meaning(base, layout, mode, xs):
     return np.array(out)
 
 
+def _drawn_inputs(layout, mode, seed, allowed, arbitrary):
+    """Seeded allowed inputs of the layout, then seeded arbitrary ones."""
+    rng = np.random.default_rng(seed)
+    return ([layout.assemble_input(rng.permutation(layout.q), rng.integers(0, 2, layout.q), mode)
+             for _ in range(allowed)]
+            + [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(arbitrary)])
+
+
 @pytest.mark.parametrize("spec,mode", Q8_LIFTS)
 def test_per_input_route_matches_propagate_on_q8_lifts(spec, mode):
     # n = 32: no truth table exists, so the reference is the lift's meaning
     layout, base = BlockLayout(8), parse_program_spec(spec)
     program = lift(base, layout, mode)
-    rng = np.random.default_rng(32)
-    allowed = [layout.assemble_input(rng.permutation(layout.q), rng.integers(0, 2, layout.q), mode)
-               for _ in range(24)]
-    arbitrary = [tuple(int(b) for b in rng.integers(0, 2, layout.n)) for _ in range(200)]
-    xs = allowed + arbitrary
+    xs = _drawn_inputs(layout, mode, 32, 24, 200)
     _assert_single_matches(program, xs, _lift_meaning(base, layout, mode, xs))
+
+
+Q16_MULTIPLIERS = (129, 139, 143, 155, 161, 187, 239, 249)
+
+
+def test_per_input_route_matches_the_meaning_of_the_q16_quantum_lift():
+    # the xor lift of the q = 16 equality tester: n = 80 and dim 256
+    layout, base = BlockLayout(16), fingerprint_eq_qobdd(16, Q16_MULTIPLIERS)
+    program = xor_reorder_qobdd(base, layout)
+    assert (program.n, program.dim) == (80, 256)
+    xs = _drawn_inputs(layout, "xor", 16, 32, 96)
+    _assert_single_matches(program, xs, _lift_meaning(base, layout, "xor", xs))
 
 
 @pytest.mark.parametrize("spec,mode", Q8_LIFTS)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ddlab import quantum
+from ddlab import limits, quantum
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
 from ddlab.diagrams import _evaluate, rounded_table
 from ddlab.errors import CapacityError, ShapeError, StructuralError
@@ -263,6 +263,73 @@ def test_per_step_norm_drift_detected():
                               accept=[1])
     with pytest.raises(StructuralError, match="state norm drifted"):
         accept_probability(drifting, (0, 1, 0, 1))
+
+
+def _dense_walk(program, x):
+    """The dense reference walk: `g @ state` at every level with the norm
+    checked after each step, then the accepting mass."""
+    state = program.initial
+    for ell in range(program.k * program.n):
+        state = program._pair(ell)[x[program.order.perm[ell % program.n] - 1]] @ state
+        norm = math.sqrt(np.vdot(state, state).real)
+        if abs(norm - 1.0) > limits.TOL:
+            raise StructuralError("state norm drifted to %.15g during the run" % norm)
+    return float(np.sum(np.abs(state[..., [s - 1 for s in sorted(program.accept)]]) ** 2,
+                        axis=-1))
+
+
+def _lifted(spec, q):
+    return xor_reorder_qobdd(parse_program_spec(spec), BlockLayout(q))
+
+
+@pytest.mark.parametrize("spec,q", [("eq-qobdd:2", 2), ("eq-qobdd:4", 4),
+                                    ("eq-qobdd-recombined:8", 8), ("eq-qobdd:4", None),
+                                    ("modp-qobdd:3,5", None)])
+def test_gathered_walk_equals_the_dense_walk_exactly(spec, q):
+    # a permutation step moves amplitudes without arithmetic, so the walk
+    # that gathers them gives the dense walk's acceptance bit for bit
+    rng = np.random.default_rng(len(spec))
+    if q is None:
+        program, xs = parse_program_spec(spec), []
+    else:
+        layout, program = BlockLayout(q), _lifted(spec, q)
+        xs = [layout.assemble_input(rng.permutation(q), rng.integers(0, 2, q), "xor")
+              for _ in range(50)]
+    xs += [tuple(int(b) for b in rng.integers(0, 2, program.n)) for _ in range(150)]
+    assert [accept_probability(program, x) for x in xs] == [_dense_walk(program, x) for x in xs]
+
+
+def _is_gather(form, g):
+    if form.ndim != 1:
+        return False
+    state = np.random.default_rng(1).normal(size=(g.shape[0], 2)) @ [1, 1j]
+    assert np.array_equal(g @ state, state[form])
+    return True
+
+
+def test_exact_permutation_matrices_take_the_gather_form():
+    program = _lifted("eq-qobdd-recombined:8", 8)
+    eye = np.eye(program.dim, dtype=np.complex128)
+    assert _is_gather(program._form(eye), eye)
+    shuffled = eye[np.random.default_rng(3).permutation(program.dim)]
+    assert _is_gather(program._form(shuffled), shuffled)
+    # the six address matrices and the value step's bit-0 identity; its bit-1
+    # matrix turns the rotations, so it stays dense
+    distinct = {id(g): g for pair in program.steps for g in pair}.values()
+    assert len(distinct) == 8
+    assert sum(_is_gather(program._form(g), g) for g in distinct) == 7
+
+
+def test_signed_phased_and_scaled_permutations_stay_dense():
+    program = _lifted("eq-qobdd:2", 2)
+    swap = np.eye(program.dim, dtype=np.complex128)[[1, 0, 3, 2]]
+    signed, phased = swap.copy(), swap * 1j
+    signed[2, 3] = -1
+    scaled = (1 + 4e-10) * np.eye(program.dim, dtype=np.complex128)
+    assert _is_gather(program._form(swap), swap)
+    for g in (signed, phased, scaled):
+        form = program._form(g)
+        assert form.ndim == 2 and np.array_equal(form, g)
 
 
 def test_json_round_trip():
