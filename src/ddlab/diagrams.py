@@ -17,19 +17,20 @@ packed and acts on the state, and in how the last state is read out:
 
 A program runs on two routes. `_whole_table` gives the output on all 2**n
 inputs from one prefix-trie pass in the program's own order; every
-whole-table routine and the exhaustive bounded-error check use it. The
-per-input evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
-`quantum.accept_probability`) and the sampled bounded-error check share
-`_evaluate`, the reference route that the table is tested against. It walks
-one input through the levels on Python scalars, over each operator's
-per-input form: the nonzero (target, weight) entries of every node's row, or
-a plain list for an index map, built once per distinct operator object on
-the first per-input call. The state holds only the live nodes: one node, the
-set of reachable nodes, or a dict from each node with mass to its mass. So a
-step costs what one input's state needs, not the whole operator. The quantum
-kind walks a dense amplitude vector: an operator that is exactly a 0/1
-permutation matrix has an index array as its form and its step is a gather;
-any other unitary stays a dense `g @ state` product.
+whole-table routine and the exhaustive bounded-error check use it. On a
+matrix kind, a level that sends rows through both operators of its pair is
+one product on the stacked pair. The per-input evaluators (`eval_obdd`,
+`eval_nobdd`, `eval_pobdd` and `quantum.accept_probability`) and the sampled
+bounded-error check share `_evaluate`, the reference route that the table is
+tested against. It walks one input through the levels on Python scalars,
+over each operator's per-input form: the nonzero (target, weight) entries of
+every node's row, or a plain list for an index map, built once per distinct
+operator object on the first per-input call. The state holds only the live
+nodes: one node, the set of reachable nodes, or a dict from each node with
+mass to its mass. So a step costs what one input's state needs, not the
+whole operator. The quantum kind walks a dense amplitude vector: an operator
+that is exactly a 0/1 permutation matrix has an index array as its form and
+its step is a gather; any other unitary stays a dense `g @ state` product.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -141,7 +143,7 @@ class LeveledProgram:
     """What every program kind shares. A kind supplies its constructor
     fields (`_FIELDS`), the packing of one level's rows (`_pack_level`), the
     state dtype or start (`_DTYPE`, `_first`), its batch operator action
-    (`_act`), its per-input route (`_form`, `_walk`,
+    (`_act`), its per-input route (`_form`, `_end_form`, `_walk`,
     `_readout_one`) and its readout (`_readout`, `_readout_on`). The
     defaults here are those of the matrix kinds, whose states are row
     vectors multiplied on the right. `_forms` caches the per-input forms."""
@@ -230,9 +232,7 @@ class LeveledProgram:
             built = {key: self._form(op) for key, op in distinct.items()}
             levels = tuple(tuple(built[id(op)] for op in self._pair(ell))
                            for ell in range(self.k * self.n))
-            ends = tuple(None if end is None else
-                         self._form(self._map_op(end, self.widths[(j + 1) * self.n]))
-                         for j, end in enumerate(self.layer_ends))
+            ends = tuple(None if end is None else self._end_form(end) for end in self.layer_ends)
             self._forms = levels, ends
         return self._forms
 
@@ -244,6 +244,11 @@ class LeveledProgram:
         for r, c, weight in zip(rows.tolist(), cols.tolist(), op.ravel()[flat].tolist()):
             form[r].append((c, weight))
         return form
+
+    def _end_form(self, end):
+        """`_form` of a layer end's `_map_op` matrix, built from the map itself."""
+        one = np.ones((), dtype=self._DTYPE).item()
+        return [[(t, one)] for t in end.tolist()]
 
     def _readout_one(self, state):
         return self._readout(state)
@@ -298,6 +303,8 @@ class LeveledObdd(LeveledProgram):
     def _form(self, op):
         return op.tolist()
 
+    _end_form = _form   # a layer end is an index map, like an operator
+
     def _walk(self, forms):
         node = self.start
         for targets in forms:
@@ -339,19 +346,17 @@ class Nobdd(LeveledProgram):
 
     def _act(self, states, op):
         # numpy's boolean matmul has no BLAS kernel. The float sums are
-        # integers below 2**53, so the product is exact. It runs one operator
-        # at a time on blocks of limits.CHUNK_ROWS / 16 rows, so its float
+        # integers below 2**53, so the product is exact. One float product
+        # covers the whole broadcast batch on a block of rows; a block holds
+        # limits.CHUNK_ROWS / 16 rows over the batch together, so its float
         # copies fit in the memory of one chunk of boolean states.
         batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
-        states = np.broadcast_to(states, batch + states.shape[-2:])
-        op = np.broadcast_to(op, batch + op.shape[-2:])
         out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
-        block = limits.CHUNK_ROWS >> 4
-        for i in np.ndindex(batch):
-            mat = op[i].astype(np.float64)
-            for lo in range(0, states.shape[-2], block):
-                rows = states[i][lo: lo + block].astype(np.float64)
-                np.greater(rows @ mat, 0, out=out[i][lo: lo + block])
+        mat = op.astype(np.float64)
+        block = max(1, (limits.CHUNK_ROWS >> 4) // max(1, math.prod(batch)))
+        for lo in range(0, states.shape[-2], block):
+            rows = states[..., lo: lo + block, :].astype(np.float64)
+            np.greater(rows @ mat, 0, out=out[..., lo: lo + block, :])
         return out
 
     def _walk(self, forms):
@@ -435,12 +440,21 @@ def size(program):
     return sum(program.widths)
 
 
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}   # a bool or numpy int equal to 0 or 1 finds its bit
+
+
 def _input_bits(x, n):
-    bits = [int(b) for b in x]
+    """Input x as n ints 0 or 1, in one pass; other entries (" 1") are read with int()."""
+    # a list can be read twice; Python scalars find their keys several times faster
+    x = x.tolist() if isinstance(x, np.ndarray) else list(x)
+    try:
+        bits = [_BITS[b] for b in x]
+    except (KeyError, TypeError):   # TypeError: an unhashable entry
+        bits = [int(b) for b in x]
+        if len(bits) == n and not set(bits) <= {0, 1}:
+            raise ShapeError("input bits must be 0 or 1") from None
     if len(bits) != n:
         raise ShapeError("expected %d input bits, got %d" % (n, len(bits)))
-    if any(b not in (0, 1) for b in bits):
-        raise ShapeError("input bits must be 0 or 1")
     return bits
 
 
@@ -518,6 +532,17 @@ def _in_table_order(outputs, perm):
     return outputs[(high[:, None] + low).ravel()]
 
 
+def _through_pair(program, halves, pair):
+    """The rows of halves[b] acted on by pair[b], bit 0's first; halves of
+    length 1 go through both operators. A matrix kind makes one product on
+    the stacked pair; an index map gathers per operator, faster than a
+    stacked gather."""
+    if program._MATRIX:
+        out = program._act(halves, np.stack(pair))
+        return out.reshape((-1,) + out.shape[2:])
+    return np.concatenate([program._act(halves[b % len(halves)], op) for b, op in enumerate(pair)])
+
+
 def _whole_table(program):
     """Output of any program kind on every input, in truth-table order, from
     one prefix-trie pass in the program's own order. Bit ell of a state's row
@@ -525,13 +550,15 @@ def _whole_table(program):
     c = log2(limits.CHUNK_ROWS) levels map the trie through both operators,
     with the new bit on top; the bits read at later levels are fixed per
     block of 2**c rows, so at most limits.CHUNK_ROWS state rows are computed
-    at a time."""
+    at a time. A later layer's first c levels re-split the rows on their
+    lowest bit, which each level moves to the top. On a matrix kind every
+    such level is one product on its stacked operator pair (`_through_pair`)."""
     n = program.n
     limits.check(n, limits.TABLE_CAP, "n of a 2**n table")
     c = min(n, limits.CHUNK_ROWS.bit_length() - 1)
     prefix = program._first(1)
     for ell in range(c):
-        prefix = np.concatenate([program._act(prefix, op) for op in program._pair(ell)])
+        prefix = _through_pair(program, prefix[None], program._pair(ell))
     out = []
     for block in range(1 << (n - c)):
         states = prefix
@@ -540,8 +567,8 @@ def _whole_table(program):
             if pos >= c:
                 states = program._act(states, pair[block >> (pos - c) & 1])
             elif ell >= n:
-                halves = states.reshape((-1, 2) + states.shape[1:])
-                states = np.concatenate([program._act(halves[:, b], pair[b]) for b in (0, 1)])
+                halves = states.reshape((-1, 2) + states.shape[1:]).swapaxes(0, 1)
+                states = _through_pair(program, halves, pair)
             if pos == n - 1 and program.layer_ends[ell // n] is not None:
                 states = program._end(states, program.layer_ends[ell // n])
         out.append(program._readout(states))

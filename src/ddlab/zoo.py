@@ -576,6 +576,7 @@ def fingerprint_eq_qobdd(q, multipliers, recombine=False):
     limits.check_program(q, 2 * t, matrix=True)
     m = 1 << (q // 2)
     w = _householder_to_first(t) if recombine else None
+    eye = np.eye(2 * t, dtype=np.complex128)   # one object: the constructor checks it once
     steps = []
     for i in range(1, q + 1):
         if i <= q // 2:
@@ -585,7 +586,7 @@ def fingerprint_eq_qobdd(q, multipliers, recombine=False):
         g1 = _ensemble_blockdiag(angles)
         if recombine:
             g1 = w @ g1 @ w.conj().T
-        steps.append((np.eye(2 * t, dtype=np.complex128), g1))
+        steps.append((eye, g1))
     if recombine:
         initial = np.zeros(2 * t, dtype=np.complex128)
         initial[0] = 1.0

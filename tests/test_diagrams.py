@@ -12,9 +12,9 @@ from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _commutes_pairwise, accep
                             sample_orders, size, to_text, width)
 from ddlab.errors import CapacityError, DependencyError, ShapeError, StructuralError
 from ddlab.experiments import parse_program_spec
-from ddlab.quantum import QuantumProgram
+from ddlab.quantum import QuantumProgram, accept_probability
 from ddlab.reorder import BlockLayout, reorder_nobdd
-from ddlab.zoo import eq, eq_geometric_pobdd, eq_weighted_obdd, or_guess_nobdd, ws_b
+from ddlab.zoo import eq, eq_geometric_pobdd, eq_weighted_obdd, or_guess_nobdd, pj_2k_obdd, ws_b
 
 
 def _xor2_obdd():
@@ -168,6 +168,72 @@ def test_boolean_product_equals_the_integer_product(states, ops):
     product = or_guess_nobdd(2)._act(reached, relation)
     expected = (reached.astype(np.int64) @ relation.astype(np.int64)) > 0
     assert product.dtype == bool and np.array_equal(product, expected)
+
+
+def _per_entry_product(states, op):
+    # the boolean product, one batch entry and one state row at a time
+    batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
+    states = np.broadcast_to(states != 0, batch + states.shape[-2:])
+    op = np.broadcast_to(op != 0, batch + op.shape[-2:])
+    out = np.zeros(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
+    for i in np.ndindex(batch):
+        for r, row in enumerate(states[i]):
+            out[i][r] = (row[:, None] & op[i]).any(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("chunk_rows", [limits.CHUNK_ROWS, 64])
+def test_boolean_product_on_the_certificate_stacks_equals_a_per_entry_product(chunk_rows,
+                                                                              monkeypatch):
+    # every product the certificate makes on two boolean bases, one of them
+    # layered; at 64 chunk rows a block holds one row of a large batch
+    calls, act = [], Nobdd._act
+
+    def recorded(self, states, op):
+        out = act(self, states, op)
+        calls.append((states, op, out))
+        return out
+
+    monkeypatch.setattr(limits, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(Nobdd, "_act", recorded)
+    for program in (or_guess_nobdd(8), embed_obdd_as_nobdd(pj_2k_obdd(2, 2))):
+        assert _commutes_pairwise(diagrams._padded(program), limits.TOL)
+    assert {states.ndim for states, _, _ in calls} == {2, 5}
+    for states, op, out in calls:
+        assert out.dtype == bool and np.array_equal(out, _per_entry_product(states, op))
+
+
+@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd])
+def test_layer_end_forms_equal_the_forms_of_their_dense_matrices(embed):
+    program = embed(pj_2k_obdd(2, 2))
+    forms = program._per_input()[1]
+    assert [form is None for form in forms] == [end is None for end in program.layer_ends]
+    assert any(end is not None for end in program.layer_ends)
+    for j, end in enumerate(program.layer_ends):
+        if end is not None:
+            dense = program._map_op(end, program.widths[(j + 1) * program.n])
+            assert repr(forms[j]) == repr(program._form(dense))   # the weights' types too
+
+
+@pytest.mark.parametrize("spec, evaluate", [("eq-obdd:4", eval_obdd), ("or-nobdd:4", eval_nobdd),
+                                            ("eq-pobdd:4", eval_pobdd),
+                                            ("eq-qobdd:4", accept_probability)])
+def test_every_evaluator_reads_the_same_inputs_and_refuses_the_same_ones(spec, evaluate):
+    program = parse_program_spec(spec)
+    x = [1, 0, 1, 1]
+    expected = evaluate(program, x)
+    # bools, numpy ints and arrays, and strings that int() reads as bits
+    for same in ([True, False, True, True], np.array(x), np.array(x, dtype=bool),
+                 [np.int64(b) for b in x], "1011", ["1", " 0", "01", "1"]):
+        assert evaluate(program, same) == expected
+    # a wrong length is named first, even when an entry is not a bit
+    for wrong in ([1, 0, 1], "10110", np.ones(5, dtype=np.int64), [1, 0, 2, 1, 1]):
+        with pytest.raises(ShapeError, match="expected 4 input bits, got %d" % len(wrong)):
+            evaluate(program, wrong)
+    for wrong in ([1, 0, 2, 1], "1201", np.array([1, 0, 2, 1]), [1, 0, 1, -1],
+                  [1.0, 0.0, 2.0, 1.0]):
+        with pytest.raises(ShapeError, match="input bits must be 0 or 1"):
+            evaluate(program, wrong)
 
 
 @pytest.mark.parametrize("program", [eq_geometric_pobdd(2), or_guess_nobdd(2)],

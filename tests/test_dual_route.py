@@ -140,13 +140,19 @@ def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkey
     # a q = 8 lift repeats 8 operator objects over its 32 levels
     layout, base = BlockLayout(8), parse_program_spec(spec)
     program = lift(base, layout, mode)
-    built, form = [], type(program)._form
+    built, built_ends = [], []
+    form, end_form = type(program)._form, type(program)._end_form
 
     def counted(self, op):
         built.append(op)
         return form(self, op)
 
+    def counted_end(self, end):
+        built_ends.append(end)
+        return end_form(self, end)
+
     monkeypatch.setattr(type(program), "_form", counted)
+    monkeypatch.setattr(type(program), "_end_form", counted_end)
     rng = np.random.default_rng(8)
     xs = [tuple(int(b) for b in rng.integers(0, 2, program.n)) for _ in range(3)]
     meaning = _lift_meaning(base, layout, mode, xs)
@@ -155,5 +161,6 @@ def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkey
     operators = {id(op) for pair in program.steps for op in pair}
     ends = sum(end is not None for end in program.layer_ends)
     assert len(operators) == 8 * program.k
-    assert len(built) == len(operators) + ends
+    # each layer end's form is built once, from its index map
+    assert (len(built), len(built_ends)) == (len(operators), ends)
     assert operators <= {id(op) for op in built}

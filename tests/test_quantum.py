@@ -6,7 +6,7 @@ import pytest
 
 from ddlab import limits, quantum
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
-from ddlab.diagrams import _evaluate, rounded_table
+from ddlab.diagrams import LeveledObdd, _evaluate, rounded_table
 from ddlab.errors import CapacityError, ShapeError, StructuralError
 from ddlab.experiments import parse_program_spec
 from ddlab.fixtures import eq_multipliers, modp_multipliers
@@ -158,15 +158,33 @@ def _weight_divisible_by_3(n):
     return sum((idx >> v) & 1 for v in range(n)) % 3 == 0
 
 
+def _prefix_weight_counter(n):
+    # the ones among the first two thirds of the variables, counted mod 3
+    node = np.arange(3)
+    steps = [np.stack([node, (node + 1) % 3 if 3 * v <= 2 * n else node], axis=1)
+             for v in range(1, n + 1)]
+    return LeveledObdd(n=n, k=1, order=VarOrder.identity(n), widths=[3] * (n + 1), start=0,
+                       steps=steps, sink_values=[1, 0, 0])
+
+
+def _prefix_weight_divisible_by_3(n):
+    idx = np.arange(1 << n)
+    return sum((idx >> (n - v)) & 1 for v in range(1, 2 * n // 3 + 1)) % 3 == 0
+
+
 @pytest.mark.parametrize("build, target", [
     (eq_geometric_pobdd, _halves_equal), (eq_weighted_obdd, _halves_equal),
     (or_guess_nobdd, lambda n: np.arange(1 << n) != 0),
     (lambda n: fingerprint_modp_qobdd(3, n, modp_multipliers(3)["multipliers"]),
      _weight_divisible_by_3),
-], ids=["eq_geometric_pobdd", "eq_weighted_obdd", "or_guess_nobdd", "fingerprint_modp_qobdd"])
+    (_prefix_weight_counter, _prefix_weight_divisible_by_3),
+], ids=["eq_geometric_pobdd", "eq_weighted_obdd", "or_guess_nobdd", "fingerprint_modp_qobdd",
+        "prefix_weight_counter"])
 def test_sampled_bounded_error_on_classical_programs_beyond_the_table_cap(build, target):
     # n = 18 is above the 2**16 table cap: only the sampled inputs may be walked,
-    # for the quantum weight-mod-3 tester too, whose target zoo.mod_p cannot store
+    # for the quantum weight-mod-3 tester too, whose target zoo.mod_p cannot store;
+    # the prefix weight changes when the input is read back to front, and the
+    # other targets do not
     n, samples, seed = 18, 64, 11
     prog = build(n)
     target = BoolFn(n, target(n).astype(np.uint8))
@@ -366,6 +384,21 @@ def test_the_constructor_checks_each_distinct_matrix_once(monkeypatch):
     monkeypatch.setattr(quantum, "_as_unitary", counted)
     lifted = xor_reorder_qobdd(base, BlockLayout(8))
     assert len(calls) == len({id(g) for pair in lifted.steps for g in pair}) == 8
+
+
+def test_the_equality_tester_checks_its_shared_identity_once(monkeypatch):
+    # q = 8 steps share one identity, so 8 rotations and the identity are checked
+    calls, check = [], quantum._as_unitary
+
+    def counted(mat, dim, where):
+        calls.append(where)
+        return check(mat, dim, where)
+
+    monkeypatch.setattr(quantum, "_as_unitary", counted)
+    for recombine in (False, True):
+        calls.clear()
+        program = fingerprint_eq_qobdd(8, eq_multipliers(8)["multipliers"], recombine=recombine)
+        assert len(calls) == len({id(g) for pair in program.steps for g in pair}) == 9
 
 
 def test_a_repeated_non_unitary_matrix_is_refused_at_its_first_step():

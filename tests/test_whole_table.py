@@ -18,10 +18,12 @@ from test_dual_route import PROGRAM_SPECS, _assert_single_matches
 
 from ddlab import diagrams, limits, quantum
 from ddlab.boolfn import BoolFn
-from ddlab.diagrams import LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table, rounded_table
+from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _all_inputs, _whole_table,
+                            embed_obdd_as_nobdd, embed_obdd_as_pobdd, rounded_table)
 from ddlab.errors import CapacityError
 from ddlab.experiments import parse_program_spec
 from ddlab.reorder import BlockLayout, lift
+from ddlab.zoo import pj_2k_obdd
 
 # (base, mode) of every lift kind at q = 2 and 4; quantum lifts are xor-only
 LIFTS = ([("%s:%d" % (base, q), mode) for q in (2, 4)
@@ -86,6 +88,18 @@ def test_table_in_blocks_of_chunk_rows_matches_and_stays_within_the_budget(monke
             tracemalloc.stop()
         assert np.array_equal(table, expected)
         assert peak <= 4 * state_bytes + operator_bytes + 4 * index_bytes
+
+
+@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd])
+def test_stacked_levels_in_blocks_match_the_per_input_route_on_layered_programs(embed,
+                                                                                monkeypatch):
+    # n = 8 above c = log2(64) = 6: the table runs in four blocks of 64 rows,
+    # and each of the three layers after the first re-splits its first six
+    # levels, all as products on stacked operator pairs
+    program = embed(pj_2k_obdd(2, 2))
+    assert (program.n, program.k) == (8, 4)
+    monkeypatch.setattr(limits, "CHUNK_ROWS", 64)
+    _assert_table_matches_propagate(program)
 
 
 @pytest.fixture(scope="module")
