@@ -15,7 +15,7 @@ from .boolfn import Partition, VarOrder, evaluate, n_min, require_enumerable, su
 from .diagrams import LeveledObdd, Nobdd, Pobdd, eval_nobdd, eval_obdd, eval_pobdd, to_text, width
 from .errors import CapacityError, DdlabError, ShapeError, UsageError
 from .experiments import (ExperimentSpec, find_check, parse_function_spec, parse_program_spec,
-                          report_emit, reports_from_emission, run, run_suite)
+                          report_emit, reports_from_emission, resolve, run, run_suite)
 from .quantum import QuantumProgram, accept_probability
 from .quantum import to_json as quantum_to_json
 
@@ -27,16 +27,8 @@ def _parse_input_bits(text, n):
     return tuple(int(c) for c in bits)
 
 
-def _resolve_any(spec_text):
-    """Function or program named by a mini-spec string (functions win ties)."""
-    try:
-        return parse_function_spec(spec_text)
-    except UsageError:
-        return parse_program_spec(spec_text)
-
-
 def _cmd_eval(args):
-    obj = _resolve_any(args.spec)
+    obj = resolve(args.spec)
     x = _parse_input_bits(args.input, obj.n)
     if isinstance(obj, QuantumProgram):
         print("%.12f" % accept_probability(obj, x))

@@ -825,6 +825,9 @@ def embed_obdd_as_pobdd(program, epsilon=0.5):
 
 def to_text(program):
     """Line-oriented serialization: header, one line per level, sinks line."""
+    if not isinstance(program, (LeveledObdd, Nobdd, Pobdd)):
+        raise ShapeError("to_text expects a classical program; quantum.to_json serializes "
+                         "a quantum program")
     kind = (
         "obdd"
         if isinstance(program, LeveledObdd)

@@ -7,15 +7,12 @@ for a fixed spec and seed. Wall-clock duration is recorded on the report
 object but deliberately excluded from the canonical payload and its sha256
 digest, so identical runs emit identical bytes.
 
-Object mini-specs used inside params:
-  functions  "eq:4", "req:2", "modp:3,5", "ws:4", "wsb:9,3", "mswb:12,4",
-             "reqb:6,4", "pj:1,2", "rpj:1,2"
-  programs   "eq-obdd:4", "or-nobdd:4", "eq-pobdd:4", "eq-qobdd:4",
-             "eq-qobdd-recombined:8", "modp-qobdd:3,5", "pj-2k:1,2",
-             "rpj-2k:1,2", "rpj-core:1,2", "tree:eq:4"
-  dicts      {"lift-of": <program>, "layout": q, "mode": ..., "totalize": bool}
-             {"reorder-of": <function>, "layout": q, "mode": ...}
-             {"negate-of": <function>}
+Object mini-specs used inside params are "family:args" strings, whose
+families are the keys of `_FUNCTIONS` and `_PROGRAMS` (plus "tree:<function
+spec>", a program), and three dict forms:
+  {"lift-of": <program>, "layout": q, "mode": ..., "totalize": bool}
+  {"reorder-of": <function>, "layout": q, "mode": ...}
+  {"negate-of": <function>}
 """
 from __future__ import annotations
 
@@ -30,165 +27,129 @@ import numpy as np
 
 from . import diagrams, fixtures, limits, zoo
 from .boolfn import BoolFn, Partition, VarOrder, n_min, require_enumerable, subfunction_count
-from .diagrams import build_binary_tree_obdd, rounded_table, width
+from .diagrams import LeveledProgram, build_binary_tree_obdd, rounded_table, width
 from .errors import ShapeError, UsageError
 from .quantum import QuantumProgram, accept_probability, check_unitary, computes_with_bounded_error
 from .quantum import acceptance_table as quantum_acceptance_table
 from .reorder import BlockLayout, allowed_input_indexes, lift, reorder_function, totalize
 
-KINDS = ("width-exact", "nsub", "equivalence", "error-margin",
-         "reorder-roundtrip", "hierarchy-probe")
-
-SUITES = ("paper-core", "quick", "negative")
-
 
 # ---------------------------------------------------------------------------
 # object mini-spec parsing (shared with the command-line interface)
+#
+# Each builder looks `zoo` and `fixtures` up when it is called, never at
+# import, so that a tracer which patches those modules' attributes sees
+# every build.
+
+# family: (argument count, builder)
+_FUNCTIONS = {
+    "eq": (1, lambda n: zoo.eq(n)),
+    "req": (1, lambda q: zoo.req(BlockLayout(q))),
+    "modp": (2, lambda p, n: zoo.mod_p(p, n)),
+    "ws": (1, lambda n: zoo.ws(n)),
+    "wsb": (2, lambda n, b: zoo.ws_b(n, b)),
+    "mswb": (2, lambda n, b: zoo.msw_b(n, b)),
+    "reqb": (2, lambda n, b: zoo.req_b(n, b)),
+    "pj": (2, lambda k, a: zoo.pj_bool(k, a)),
+    "rpj": (2, lambda k, a: zoo.rpj(k, zoo.RpjLayout(a))),
+}
+
+# family: (argument count, builder, the function family that a quantum
+# tester computes with the same arguments, or None for the classical kinds)
+_PROGRAMS = {
+    "eq-obdd": (1, lambda q: zoo.eq_weighted_obdd(q), None),
+    "or-nobdd": (1, lambda q: zoo.or_guess_nobdd(q), None),
+    "eq-pobdd": (1, lambda q: zoo.eq_geometric_pobdd(q), None),
+    "eq-qobdd": (1, lambda q: zoo.fingerprint_eq_qobdd(
+        q, fixtures.eq_multipliers(q)["multipliers"]), "eq"),
+    "eq-qobdd-recombined": (1, lambda q: zoo.fingerprint_eq_qobdd(
+        q, fixtures.recombined_eq_multipliers(q)["multipliers"], recombine=True), "eq"),
+    "modp-qobdd": (2, lambda p, n: zoo.fingerprint_modp_qobdd(
+        p, n, fixtures.modp_multipliers(p)["multipliers"]), "modp"),
+    "pj-2k": (2, lambda k, a: zoo.pj_2k_obdd(k, a), None),
+    "rpj-2k": (2, lambda k, a: zoo.rpj_2k_obdd(k, zoo.RpjLayout(a)), None),
+    "rpj-core": (2, lambda k, a: zoo._rpj_core(k, zoo.RpjLayout(a)), None),
+}
 
 
-def _spec_args(text):
-    if ":" not in text:
-        return text, []
-    name, rest = text.split(":", 1)
-    return name, rest
+def _build(text, table, what):
+    """The object that `text` names in `table`. The integers are checked
+    first, then the family name, then the argument count."""
+    name, _, rest = text.partition(":")
+    bad = UsageError("bad arguments in %s spec %r" % (what, text))
+    try:
+        args = [int(a) for a in rest.split(",")] if rest else []
+    except ValueError:
+        raise bad from None
+    if name not in table:
+        raise UsageError("unknown %s family %r" % (what, name))
+    count, build = table[name][:2]
+    if len(args) != count:
+        raise bad
+    try:
+        return build(*args)
+    except (ValueError, ShapeError):
+        raise bad from None
 
 
 def parse_function_spec(text):
     """BoolFn described by a string like "eq:4" or "modp:3,5"."""
-    name, rest = _spec_args(text)
-    try:
-        args = [int(a) for a in rest.split(",")] if rest else []
-        if name == "eq":
-            (n,) = args
-            return zoo.eq(n)
-        if name == "req":
-            (q,) = args
-            return zoo.req(BlockLayout(q))
-        if name == "modp":
-            p, n = args
-            return zoo.mod_p(p, n)
-        if name == "ws":
-            (n,) = args
-            return zoo.ws(n)
-        if name == "wsb":
-            n, b = args
-            return zoo.ws_b(n, b)
-        if name == "mswb":
-            n, b = args
-            return zoo.msw_b(n, b)
-        if name == "reqb":
-            n, b = args
-            return zoo.req_b(n, b)
-        if name == "pj":
-            k, a = args
-            return zoo.pj_bool(k, a)
-        if name == "rpj":
-            k, a = args
-            return zoo.rpj(k, zoo.RpjLayout(a))
-    except (ValueError, ShapeError):
-        raise UsageError("bad arguments in function spec %r" % text) from None
-    raise UsageError("unknown function family %r" % name)
+    return _build(text, _FUNCTIONS, "function")
 
 
 def parse_program_spec(text):
     """Program described by a string like "eq-obdd:4" or "tree:eq:4"."""
-    name, rest = _spec_args(text)
+    name, _, rest = text.partition(":")
     if name == "tree":
         return build_binary_tree_obdd(parse_function_spec(rest))
-    try:
-        args = [int(a) for a in rest.split(",")] if rest else []
-        if name == "eq-obdd":
-            (q,) = args
-            return zoo.eq_weighted_obdd(q)
-        if name == "or-nobdd":
-            (q,) = args
-            return zoo.or_guess_nobdd(q)
-        if name == "eq-pobdd":
-            (q,) = args
-            return zoo.eq_geometric_pobdd(q)
-        if name == "eq-qobdd":
-            (q,) = args
-            ks = fixtures.eq_multipliers(q)["multipliers"]
-            return zoo.fingerprint_eq_qobdd(q, ks)
-        if name == "eq-qobdd-recombined":
-            (q,) = args
-            ks = fixtures.recombined_eq_multipliers(q)["multipliers"]
-            return zoo.fingerprint_eq_qobdd(q, ks, recombine=True)
-        if name == "modp-qobdd":
-            p, n = args
-            ks = fixtures.modp_multipliers(p)["multipliers"]
-            return zoo.fingerprint_modp_qobdd(p, n, ks)
-        if name == "pj-2k":
-            k, a = args
-            return zoo.pj_2k_obdd(k, a)
-        if name == "rpj-2k":
-            k, a = args
-            return zoo.rpj_2k_obdd(k, zoo.RpjLayout(a))
-        if name == "rpj-core":
-            k, a = args
-            return zoo._rpj_core(k, zoo.RpjLayout(a))
-    except (ValueError, ShapeError):
-        raise UsageError("bad arguments in program spec %r" % text) from None
-    raise UsageError("unknown program family %r" % name)
+    return _build(text, _PROGRAMS, "program")
 
 
-def _resolve_program(obj):
-    """Program from a mini-spec string or a lift dict."""
+def resolve(obj, program=False):
+    """The function or program that a mini-spec string or dict names; a
+    string is a function spec exactly when its family is in `_FUNCTIONS`.
+    With `program`, anything but a program is a usage error."""
     if isinstance(obj, str):
-        return parse_program_spec(obj)
-    if isinstance(obj, dict) and "lift-of" in obj:
-        base = parse_program_spec(obj["lift-of"])
-        layout = BlockLayout(obj["layout"])
-        return lift(base, layout, obj.get("mode", "xor"))
-    raise UsageError("cannot resolve program spec %r" % (obj,))
-
-
-def _resolve_target(obj):
-    """Total or partial target function from a spec string or dict."""
-    if isinstance(obj, str):
-        return parse_function_spec(obj)
-    if isinstance(obj, dict) and "reorder-of" in obj:
-        f = parse_function_spec(obj["reorder-of"])
-        return reorder_function(f, BlockLayout(obj["layout"]), obj.get("mode", "xor"))
-    if isinstance(obj, dict) and "negate-of" in obj:
+        parse = parse_function_spec if obj.partition(":")[0] in _FUNCTIONS else parse_program_spec
+        out = parse(obj)
+    elif isinstance(obj, dict) and "lift-of" in obj:
+        out = lift(parse_program_spec(obj["lift-of"]), BlockLayout(obj["layout"]),
+                   obj.get("mode", "xor"))
+    elif isinstance(obj, dict) and "reorder-of" in obj:
+        out = reorder_function(parse_function_spec(obj["reorder-of"]), BlockLayout(obj["layout"]),
+                               obj.get("mode", "xor"))
+    elif isinstance(obj, dict) and "negate-of" in obj:
         f = parse_function_spec(obj["negate-of"])
-        return BoolFn(f.n, 1 - f.table)
-    raise UsageError("cannot resolve target spec %r" % (obj,))
+        out = BoolFn(f.n, 1 - f.table)
+    else:
+        raise UsageError("cannot resolve spec %r" % (obj,))
+    if program and not isinstance(out, LeveledProgram):
+        raise UsageError("%r is not a program spec" % (obj,))
+    return out
 
 
-def _resolve_table(obj):
-    """(table, n, description) for either side of an equivalence check."""
+def _operand_table(obj, resolved):
+    """(table, description) of one side of an equivalence check, a spec
+    string or a lift dict, from the object `resolved` that it names."""
     if isinstance(obj, str):
-        try:
-            f = parse_function_spec(obj)
-            return f.table, f.n, obj
-        except UsageError:
-            p = parse_program_spec(obj)
-            return rounded_table(p), p.n, obj
-    if isinstance(obj, dict) and "lift-of" in obj:
-        program = _resolve_program(obj)
-        desc = "%s-lift of %s" % (obj.get("mode", "xor"), obj["lift-of"])
-        if obj.get("totalize"):
-            fp = reorder_function(_base_function(obj["lift-of"]),
-                                  BlockLayout(obj["layout"]), obj.get("mode", "xor"))
-            f = totalize(fp, program)
-            return f.table, f.n, "totalize(%s)" % desc
-        return rounded_table(program), program.n, desc
-    raise UsageError("cannot resolve table spec %r" % (obj,))
-
-
-def _base_function(program_spec):
-    """The function a named base program computes (for reorder_function)."""
-    program = parse_program_spec(program_spec)
-    if isinstance(program, QuantumProgram):
-        name, rest = _spec_args(program_spec)
-        if name.startswith("eq-qobdd"):
-            return zoo.eq(int(rest.split(",")[0]))
-        if name == "modp-qobdd":
-            p, n = (int(a) for a in rest.split(","))
-            return zoo.mod_p(p, n)
-        raise UsageError("no function route for %r" % program_spec)
-    return BoolFn(program.n, rounded_table(program))
+        return (resolved.table if isinstance(resolved, BoolFn) else rounded_table(resolved)), obj
+    if "lift-of" not in obj:
+        raise UsageError("cannot resolve table spec %r" % (obj,))
+    mode = obj.get("mode", "xor")
+    desc = "%s-lift of %s" % (mode, obj["lift-of"])
+    if not obj.get("totalize"):
+        return rounded_table(resolved), desc
+    # the base's function: a quantum tester's family row names it, and a
+    # classical base's rounded table is it
+    name, _, rest = obj["lift-of"].partition(":")
+    computes = _PROGRAMS.get(name, (None,) * 3)[2]
+    if computes:
+        base = parse_function_spec("%s:%s" % (computes, rest))
+    else:
+        base_program = parse_program_spec(obj["lift-of"])
+        base = BoolFn(base_program.n, rounded_table(base_program))
+    f = totalize(reorder_function(base, BlockLayout(obj["layout"]), mode), resolved)
+    return f.table, "totalize(%s)" % desc
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +294,12 @@ def _run_equivalence(spec):
     p = spec.params
     if p.get("variant") == "pad-flips":
         return _run_pad_flips(spec)
-    left_table, ln, left_desc = _resolve_table(p["left"])
-    right_table, rn, right_desc = _resolve_table(p["right"])
-    if ln != rn:
-        raise ShapeError("equivalence operands disagree on arity (%d vs %d)" % (ln, rn))
+    left = resolve(p["left"], program=bool(p.get("commutative") or p.get("width-bound")))
+    right = resolve(p["right"])
+    left_table, left_desc = _operand_table(p["left"], left)
+    right_table, right_desc = _operand_table(p["right"], right)
+    if left.n != right.n:
+        raise ShapeError("equivalence operands disagree on arity (%d vs %d)" % (left.n, right.n))
     scope = p.get("scope", "all")
     if scope == "allowed":
         layout = BlockLayout(p["layout"])
@@ -352,14 +315,13 @@ def _run_equivalence(spec):
     passed = diff.size == 0
     if p.get("commutative"):
         # the pairwise certificate alone: no orders are sampled
-        prog = diagrams._padded(_resolve_program(p["left"]))
-        measured["commutative"] = diagrams._commutes_pairwise(prog, spec.tolerance)
+        measured["commutative"] = diagrams._commutes_pairwise(diagrams._padded(left),
+                                                              spec.tolerance)
         passed = passed and measured["commutative"]
     bound = None
     if p.get("width-bound"):
         bound = dict(p["width-bound"])
-        prog = _resolve_program(p["left"])
-        measured["width"] = width(prog)
+        measured["width"] = width(left)
         passed = passed and _bound_ok(measured["width"], bound, spec.tolerance)
     claim = "%s equals %s on %s %d checked inputs" % (
         left_desc, right_desc, "all" if scope == "all" else "the allowed", measured["inputs_checked"])
@@ -431,8 +393,8 @@ def _lsb_value(bits, half):
 
 def _run_error_margin(spec):
     p = spec.params
-    program = _resolve_program(p["program"])
-    target = _resolve_target(p["target"])
+    program = resolve(p["program"], program=True)
+    target = resolve(p["target"])
     eps = float(p["epsilon"])
     verdict = computes_with_bounded_error(program, target, eps)
     measured = {
@@ -514,19 +476,13 @@ def _run_hierarchy_probe(spec):
     p = spec.params
     which = p["which"]
     k, a = int(p["k"]), int(p["a"])
-    if which == "pj":
-        program = zoo.pj_2k_obdd(k, a)
-        f = zoo.pj_bool(k, a)
-        bound_val = (2 * a) * (a + 1)
-        expr = "(2a)(a+1)"
-    elif which == "rpj":
-        layout = zoo.RpjLayout(a)
-        program = zoo.rpj_2k_obdd(k, layout)
-        f = zoo.rpj(k, layout)
-        bound_val = (2 * a) * (a + 1) * layout.b
-        expr = "(2a)(a+1)*b"
-    else:
+    if which not in ("pj", "rpj"):
         raise UsageError("unknown hierarchy probe target %r" % which)
+    program = parse_program_spec("%s-2k:%d,%d" % (which, k, a))
+    f = parse_function_spec("%s:%d,%d" % (which, k, a))
+    bound_val, expr = (2 * a) * (a + 1), "(2a)(a+1)"
+    if which == "rpj":
+        bound_val, expr = bound_val * zoo.RpjLayout(a).b, expr + "*b"
     w = width(program)
     exact = n_min(f)
     measured = {"layered_width": w, "layers": program.k, "obdd_min_width": exact}
@@ -539,13 +495,15 @@ def _run_hierarchy_probe(spec):
 
 
 _RUNNERS = {
-    "nsub": _run_nsub,
     "width-exact": _run_width_exact,
+    "nsub": _run_nsub,
     "equivalence": _run_equivalence,
     "error-margin": _run_error_margin,
     "reorder-roundtrip": _run_reorder_roundtrip,
     "hierarchy-probe": _run_hierarchy_probe,
 }
+
+KINDS = tuple(_RUNNERS)
 
 
 def run(spec):
@@ -668,16 +626,20 @@ def _negative_checks(seed):
     ]
 
 
+_SUITES = {
+    "paper-core": _paper_core_checks,
+    "quick": lambda seed: [c for c in _paper_core_checks(seed) if c.check_id in _QUICK_IDS],
+    "negative": _negative_checks,
+}
+
+SUITES = tuple(_SUITES)
+
+
 def suite_checks(suite_id, seed=0):
     """The ordered spec list for a named suite."""
-    if suite_id == "paper-core":
-        return _paper_core_checks(seed)
-    if suite_id == "quick":
-        core = {c.check_id: c for c in _paper_core_checks(seed)}
-        return [core[cid] for cid in _QUICK_IDS]
-    if suite_id == "negative":
-        return _negative_checks(seed)
-    raise UsageError("unknown suite %r (one of %s)" % (suite_id, ", ".join(SUITES)))
+    if suite_id not in _SUITES:
+        raise UsageError("unknown suite %r (one of %s)" % (suite_id, ", ".join(SUITES)))
+    return _SUITES[suite_id](seed)
 
 
 def run_suite(suite_id, seed=0):
@@ -686,7 +648,7 @@ def run_suite(suite_id, seed=0):
 
 def find_check(check_id, seed=0):
     """The registered suite spec with the given id (searches all suites)."""
-    for suite_id in ("paper-core", "negative"):
+    for suite_id in SUITES:
         for spec in suite_checks(suite_id, seed):
             if spec.check_id == check_id:
                 return spec

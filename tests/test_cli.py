@@ -43,9 +43,12 @@ def test_eval_usage_errors(capsys):
     rc, _, err = run_cli(capsys, "eval", "eq:4", "--input", "01")
     assert rc == 2 and "usage error" in err
     rc, _, err = run_cli(capsys, "eval", "mystery:4", "--input", "0101")
-    assert rc == 2
+    assert rc == 2 and "unknown program family 'mystery'" in err
+    # a function family's bad arguments are reported as a function spec's
     rc, _, err = run_cli(capsys, "eval", "eq:3", "--input", "010")
-    assert rc == 2
+    assert rc == 2 and "bad arguments in function spec 'eq:3'" in err
+    rc, _, err = run_cli(capsys, "eval", "req:3", "--input", "0")
+    assert rc == 2 and "bad arguments in function spec 'req:3'" in err
 
 
 def test_nsub(capsys):

@@ -1,5 +1,6 @@
 """Leveled programs: construction, evaluation, extraction, commutativity, text."""
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -399,3 +400,11 @@ def test_to_text_nobdd_and_layer_end_lines():
         layer_ends=ends,
     )
     assert "Lend1: 1,0" in to_text(two_layer)
+
+
+def test_to_text_refuses_a_quantum_program_before_reading_it():
+    prog = parse_program_spec("eq-qobdd:2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no complex entry is cast to a float
+        with pytest.raises(ShapeError, match="quantum.to_json"):
+            to_text(prog)

@@ -1,14 +1,25 @@
 """Experiment specs, runners, reports, digests, and the named suites."""
 import json
 import pathlib
+import re
 
+import numpy as np
 import pytest
 
+from ddlab.diagrams import rounded_table
 from ddlab.errors import UsageError
-from ddlab.experiments import (ExperimentSpec, find_check, parse_function_spec,
-                               parse_program_spec, report_emit, reports_from_emission,
-                               run, run_suite, suite_checks)
+from ddlab.experiments import (_FUNCTIONS, _PROGRAMS, ExperimentSpec, find_check,
+                               parse_function_spec, parse_program_spec, report_emit,
+                               reports_from_emission, resolve, run, run_suite,
+                               suite_checks)
+from ddlab.quantum import QuantumProgram
 from ddlab.zoo import eq
+
+# one small spec of every family of both tables, and of tree:
+FAMILY_EXAMPLES = ["eq:4", "req:2", "modp:3,5", "ws:4", "wsb:9,3", "mswb:12,4", "reqb:6,4",
+                   "pj:1,2", "rpj:1,2", "eq-obdd:2", "or-nobdd:2", "eq-pobdd:2", "eq-qobdd:2",
+                   "eq-qobdd-recombined:8", "modp-qobdd:3,5", "pj-2k:1,2", "rpj-2k:1,2",
+                   "rpj-core:1,2", "tree:eq:2"]
 
 
 def test_spec_parsers():
@@ -24,8 +35,50 @@ def test_spec_parsers():
         parse_function_spec("eq:three")
     with pytest.raises(UsageError):
         parse_program_spec("eq:4")
+    with pytest.raises(UsageError, match="not a program spec"):
+        resolve("eq:4", program=True)
     with pytest.raises(UsageError):
         ExperimentSpec(kind="mystery", params={})
+
+
+def test_the_family_tables_match_the_readme_mini_spec_table():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| spec | object |", 1)[1].split("\n\n", 1)[0]
+    first_cells = re.findall(r"^\| ([^|]+) \|", table, flags=re.M)
+    families = {spec.split(":", 1)[0] for cell in first_cells
+                for spec in re.findall(r"`([^`]+)`", cell)}
+    assert families == set(_FUNCTIONS) | set(_PROGRAMS) | {"tree"}
+
+
+def test_the_family_tables_are_disjoint_and_leave_tree_out():
+    assert not set(_FUNCTIONS) & set(_PROGRAMS)
+    assert "tree" not in _FUNCTIONS and "tree" not in _PROGRAMS
+    examples = {spec.split(":", 1)[0] for spec in FAMILY_EXAMPLES}
+    assert examples == set(_FUNCTIONS) | set(_PROGRAMS) | {"tree"}
+
+
+def test_a_program_family_names_a_function_exactly_when_it_is_quantum():
+    for spec in FAMILY_EXAMPLES:
+        name = spec.split(":", 1)[0]
+        if name in _PROGRAMS:
+            computes = _PROGRAMS[name][2]
+            quantum = isinstance(parse_program_spec(spec), QuantumProgram)
+            assert (computes in _FUNCTIONS) if quantum else computes is None, spec
+
+
+@pytest.mark.parametrize("spec", ["eq-qobdd:2", "eq-qobdd:4", "eq-qobdd-recombined:8",
+                                  "modp-qobdd:3,5"])
+def test_the_named_function_is_the_testers_rounded_table(spec):
+    name, args = spec.split(":", 1)
+    f = parse_function_spec("%s:%s" % (_PROGRAMS[name][2], args))
+    assert np.array_equal(f.table, rounded_table(parse_program_spec(spec)))
+
+
+def test_an_equivalence_operand_reports_its_own_parse_error():
+    spec = ExperimentSpec(kind="equivalence", check_id="adhoc-bad-operand",
+                          params={"left": "eq-obdd:2", "right": "req:3"})
+    with pytest.raises(UsageError, match="bad arguments in function spec 'req:3'"):
+        run(spec)
 
 
 def test_run_nsub_and_width_exact():

@@ -26,3 +26,30 @@ def test_every_traced_name_exists_in_ddlab():
     missing = [(mod, attr) for mod, attr in names
                if not callable(getattr(importlib.import_module("ddlab." + mod), attr, None))]
     assert missing == []
+
+
+
+def test_every_family_builds_through_the_traced_zoo():
+    # the family tables look zoo up when a spec is resolved, so the tracer's
+    # patched zoo functions record one root span per resolve; a table that
+    # stored zoo's function objects would record none
+    import ddlab.kernels  # noqa: F401 - the Tracer reads every module it binds
+    from ddlab.experiments import _FUNCTIONS, resolve
+    from test_experiments import FAMILY_EXAMPLES
+
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        roots = []
+        for spec in FAMILY_EXAMPLES:
+            start = len(tracer.spans)
+            resolve(spec)
+            roots.append([rec[tracing.NAME] for rec in tracer.spans[start:]
+                          if rec[tracing.PARENT] == -1])
+    finally:
+        tracer.uninstall()
+    # tree: builds the program from its function's table
+    tables = set(_FUNCTIONS) | {"tree"}
+    assert roots == [["zoo.table" if spec.split(":", 1)[0] in tables else "zoo.program"]
+                     for spec in FAMILY_EXAMPLES]
