@@ -35,7 +35,10 @@ its step is a gather; any other unitary stays a dense `g @ state` product.
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
 two distinct variables must commute on the states that some order can meet
-them in, found by one reachability scan per layer. It takes O(k*n) batched
+them in, found by one reachability scan per layer. The start rows' images
+under every operator are made once per layer, and each side of every pair is
+one of them acted on by the other operator: one gather over a chunk of pairs
+for index maps, one 2-d product per position for matrices. It takes O(k*n)
 operator products and no 2**n table. A program that fails it goes to the
 sampled route: each sampled order gives a program that reads the variables
 in that order with their own operators (`_reordered`), and its whole table
@@ -50,7 +53,13 @@ Conventions:
     within-layer commutativity;
   * programs are immutable after construction; width is max level size and no
     reduction/sharing pass is ever applied (width of the explicit leveled form
-    is the complexity measure of interest).
+    is the complexity measure of interest);
+  * so each program derives these once, on first use, and keeps them: the
+    per-input forms, the copy padded to the widest level (none when the
+    program is its own copy), the whole table (read-only; callers that
+    write get a copy) and the certificate's verdict per tolerance. The
+    sampled route's verdict is not kept, since it depends on the trials and
+    the seed.
 """
 from __future__ import annotations
 
@@ -146,9 +155,14 @@ class LeveledProgram:
     (`_act`), its per-input route (`_form`, `_end_form`, `_walk`,
     `_readout_one`) and its readout (`_readout`, `_readout_on`). The
     defaults here are those of the matrix kinds, whose states are row
-    vectors multiplied on the right. `_forms` caches the per-input forms."""
+    vectors multiplied on the right. A program is immutable, so what is
+    derived from it is derived once and kept on it: the per-input forms
+    (`_forms`), the padded copy (`_padded_copy`, left empty when the program
+    is its own), the read-only whole table (`_table`) and the certificate's
+    verdict per tolerance (`_certificates`)."""
 
-    __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends", "_forms")
+    __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends", "_forms", "_padded_copy",
+                 "_table", "_certificates", "__weakref__")
     _MATRIX = True   # operators are matrices, not index maps
 
     def _init_levels(self, n, k, order, widths, start, steps, layer_ends):
@@ -175,7 +189,12 @@ class LeveledProgram:
             packed.append(tuple(level))
         self.steps = tuple(packed)
         self.layer_ends = _norm_layer_ends(layer_ends, self.k, self.widths, self.n)
-        self._forms = None
+        self._derive_later()
+
+    def _derive_later(self):
+        """Nothing is derived yet; each derived field is filled on first use."""
+        self._forms = self._padded_copy = self._table = None
+        self._certificates = {}
 
     def _norm_accepting(self, accepting):
         acc = frozenset(int(s) for s in accepting)
@@ -204,12 +223,19 @@ class LeveledProgram:
         return states @ op
 
     def _end(self, states, end):
-        # column by column in source order: the sums are added in np.add.at's
-        # order, several times faster than its 2-d path; on booleans += is or
-        mapped = np.zeros_like(states)
+        # the transposed states' rows added in source order into whole
+        # contiguous rows: the sums are np.add.at's, several times faster than
+        # its 2-d path and twice as fast as a loop over columns; on booleans
+        # += is or
+        cols = states.T
+        mapped = np.zeros(cols.shape, dtype=states.dtype)
         for i, t in enumerate(end.tolist()):
-            mapped[:, t] += states[:, i]
-        return mapped
+            mapped[t] += cols[i]
+        return mapped.T
+
+    def _side_by_side(self, ops):
+        """One operator acting as each of the stacked `ops`, their images side by side."""
+        return ops.swapaxes(0, 1).reshape(ops.shape[1], -1)
 
     def _pad(self, op, width):
         big = np.zeros((width, width), dtype=op.dtype)
@@ -507,18 +533,24 @@ def _padded(program):
     can be applied in any order. Rows of padded nodes go to node 0. The
     certificate compares only the rows that own-order subsequences reach, so
     a padded row matters only when skipping levels lands on it; the sampled
-    route reads every input in each order, padded rows included."""
+    route reads every input in each order, padded rows included.
+
+    The copy is built once and kept on the program. A program whose levels
+    all have one width is its own copy and keeps nothing, since keeping
+    itself would make a reference cycle."""
     w = width(program)
     if all(x == w for x in program.widths):
         return program
-    last = np.arange(w)
-    last[program.widths[-1]:] = -1
-    return program._rebuilt(
-        widths=[w] * len(program.widths),
-        steps=[tuple(program._pad(op, w) for op in pair) for pair in program.steps],
-        layer_ends=[None if e is None else _pad_map(e, w) for e in program.layer_ends],
-        **program._readout_on(last),
-    )
+    if program._padded_copy is None:
+        last = np.arange(w)
+        last[program.widths[-1]:] = -1
+        program._padded_copy = program._rebuilt(
+            widths=[w] * len(program.widths),
+            steps=[tuple(program._pad(op, w) for op in pair) for pair in program.steps],
+            layer_ends=[None if e is None else _pad_map(e, w) for e in program.layer_ends],
+            **program._readout_on(last),
+        )
+    return program._padded_copy
 
 
 def _in_table_order(outputs, perm):
@@ -552,7 +584,12 @@ def _whole_table(program):
     block of 2**c rows, so at most limits.CHUNK_ROWS state rows are computed
     at a time. A later layer's first c levels re-split the rows on their
     lowest bit, which each level moves to the top. On a matrix kind every
-    such level is one product on its stacked operator pair (`_through_pair`)."""
+    such level is one product on its stacked operator pair (`_through_pair`).
+
+    The table is computed once and kept on the program, read-only; a caller
+    that needs to write gets its own copy."""
+    if program._table is not None:
+        return program._table
     n = program.n
     limits.check(n, limits.TABLE_CAP, "n of a 2**n table")
     c = min(n, limits.CHUNK_ROWS.bit_length() - 1)
@@ -572,7 +609,9 @@ def _whole_table(program):
             if pos == n - 1 and program.layer_ends[ell // n] is not None:
                 states = program._end(states, program.layer_ends[ell // n])
         out.append(program._readout(states))
-    return _in_table_order(np.concatenate(out), np.array(program.order.perm) - 1)
+    program._table = _in_table_order(np.concatenate(out), np.array(program.order.perm) - 1)
+    program._table.setflags(write=False)
+    return program._table
 
 
 def rounded_table(program):
@@ -686,23 +725,22 @@ def _orders(n, trials, seed):
         yield tuple(perm)
 
 
-def _successors(padded, masks, pair):
-    """The nodes that either operator of `pair` reaches from the nodes set in
-    each row of the boolean `masks` (a nonzero entry is an edge)."""
+def _successors(padded, states, edges):
+    """The nodes reached from the nodes set in each row of the boolean
+    `states` through either operator of a pair: `edges` is the pair's summed
+    magnitudes for matrices (a nonzero entry is an edge), or its stacked maps."""
     if padded._MATRIX:
-        return padded._act(masks.astype(np.float64), np.abs(pair[0]) + np.abs(pair[1])) > 0
-    out = np.zeros_like(masks)
-    rows, nodes = np.nonzero(masks)
-    for op in pair:
-        out[rows, op[nodes]] = True
+        return padded._act(states.astype(np.float64), edges) > 0
+    flat = np.flatnonzero(states)   # numpy's 2-d nonzero is several times slower
+    nodes = flat % states.shape[1]
+    out = np.zeros_like(states)
+    out.ravel()[edges[:, nodes] + (flat - nodes)] = True
     return out
 
 
 def _then(padded, images, ops):
-    """The images acted on by the operators, batched over the leading axes,
-    which broadcast: one `@` for matrices, one flat gather for index maps."""
-    if padded._MATRIX:
-        return padded._act(images, ops)
+    """The images (node indexes) mapped by the index maps `ops`, batched over
+    the leading axes, which broadcast: one flat gather."""
     w = ops.shape[-1]
     offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
     return padded._act(images + offsets, ops.ravel())
@@ -728,46 +766,89 @@ def _commutes_pairwise(padded, tol):
     previous layer.
 
     One scan per layer gives every such set (reachability follows the nonzero
-    entries), and one batched product per position compares it with all later
-    ones, on the union of their rows (for matrices, in groups of at most
-    limits.CHUNK_ROWS product rows)."""
+    entries). The layer's pairs are then compared on the union of their rows
+    (`_pairs_commute`)."""
     n, w = padded.n, padded.widths[0]
     basis = padded._map_op(np.arange(w), w)
     reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
+    later = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]   # later[a, b]: a < b
     for j in range(padded.k):
-        pairs = [padded._pair(j * n + p) for p in range(n)]
-        # skips[a]: the states of own-order subsequences that skip position a;
-        # before[a, b]: those of the positions before b
-        skips, before = np.tile(reached, (n, 1)), np.empty((n, n, w), dtype=bool)
-        for b, pair in enumerate(pairs):
-            before[:, b] = skips
-            step = _successors(padded, np.vstack([skips, reached]), pair)
+        stack = np.array([padded._pair(j * n + p) for p in range(n)])
+        edges = np.abs(stack).sum(axis=1) if padded._MATRIX else stack
+        # states[a]: the states of own-order subsequences that skip position
+        # a; states[n]: those of the whole layer so far; before[a, b]: states[a]
+        # before position b
+        states = np.tile(reached, (n + 1, 1))
+        before = np.empty((n, n, w), dtype=bool)
+        for b in range(n):
+            before[:, b] = states[:n]
+            step = _successors(padded, states, edges[b])
             step[b] = False
-            skips, reached = skips | step[:n], step[n]
-        stack = np.array(pairs)
-        for a in range(n - 1):
-            rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
-            start, own = basis[rows], stack[a]
-            first = _then(padded, start, own)[None, None]
-            # products of matrices hold at most limits.CHUNK_ROWS rows at a time
-            group = max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
-            for lo in range(a + 1, n, group):
-                later, masks = stack[lo: lo + group], before[a, lo: lo + group]
-                a_first = _then(padded, first, later[:, :, None])
-                b_first = _then(padded, _then(padded, start, later)[:, :, None], own[None, None])
-                if a_first.dtype.kind in "bi":
-                    differ = a_first != b_first
-                else:
-                    differ = np.abs(a_first - b_first) > tol
-                if padded._MATRIX:
-                    differ = differ.any(axis=-1)
-                if np.any(differ & masks[:, None, None, rows]):
-                    return False
+            states[:n] |= step[:n]
+            states[n] = step[n]
+        reached = states[n]
+        masks = before & later
+        rows = np.flatnonzero(masks.any(axis=(0, 1)))
+        if rows.size and not _pairs_commute(padded, stack, basis[rows], masks[:, :, rows], tol):
+            return False
         if padded.layer_ends[j] is not None:
             mapped = np.zeros(w, dtype=bool)
             mapped[padded.layer_ends[j][reached]] = True
             reached = mapped
     return True
+
+
+def _pairs_commute(padded, stack, start, masks, tol):
+    """Whether stack[a][α]·stack[b][β] and stack[b][β]·stack[a][α] agree on
+    the rows of `start` that masks[a, b] selects, for every two positions
+    a < b and all bits. first = start·stack is made once, and each side of a
+    pair is first[a]·stack[b] or first[b]·stack[a]. The pairs go in chunks of
+    at most limits.CHUNK_ROWS rows of a state's width per side. For index
+    maps a chunk is any run of pairs, and each side is one gather over it.
+    For matrices a chunk is one position a with a run of later positions:
+    each side is then one 2-d product on operators set side by side, which
+    keeps BLAS (a broadcast stack of products does not)."""
+    n, r, w = stack.shape[0], start.shape[0], padded.widths[0]
+    if not padded._MATRIX:
+        first = _then(padded, start, stack)   # [position, bit, row]
+        a_all, b_all = np.triu_indices(n, 1)
+        chunk = max(1, limits.CHUNK_ROWS * w // (4 * r))
+        for lo in range(0, a_all.size, chunk):
+            a, b = a_all[lo: lo + chunk], b_all[lo: lo + chunk]
+            a_first = _then(padded, first[a][:, :, None], stack[b][:, None])   # [pair, α, β, row]
+            b_first = _then(padded, first[b][:, None], stack[a][:, :, None])
+            if _differ(a_first, b_first, masks[a, b][:, None, None], tol):
+                return False
+        return True
+    ops = stack.reshape((2 * n,) + stack.shape[2:])   # [(position, bit), ...]
+    first = padded._act(start, padded._side_by_side(ops)).reshape(r, 2 * n, w)
+    first = np.ascontiguousarray(first.swapaxes(0, 1))   # [(position, bit), row, node]
+    group = max(1, limits.CHUNK_ROWS // (4 * r))
+    for a in range(n - 1):
+        own = padded._side_by_side(ops[2 * a: 2 * a + 2])
+        for lo in range(a + 1, n, group):
+            hi = min(lo + group, n)
+            a_first = padded._act(first[2 * a: 2 * a + 2].reshape(-1, w),
+                                  padded._side_by_side(ops[2 * lo: 2 * hi]))
+            b_first = padded._act(first[2 * lo: 2 * hi].reshape(-1, w), own)
+            a_first = a_first.reshape(2, r, hi - lo, 2, w)   # [α, row, b, β, node]
+            b_first = b_first.reshape(hi - lo, 2, r, 2, w).transpose(3, 2, 0, 1, 4)   # the same
+            if _differ(a_first, b_first, masks[a, lo: hi].T[None, :, :, None], tol):
+                return False
+    return True
+
+
+def _differ(x, y, mask, tol):
+    """Whether x and y differ on a row that `mask` selects: exactly for index
+    maps and booleans, by more than `tol` in some entry for numbers. Only the
+    entries that are not bit-equal are subtracted, and commuting products
+    are mostly bit-equal."""
+    if x.ndim > mask.ndim:   # a matrix row: every node's entry
+        mask = mask[..., None]
+    unequal = (x != y) & mask
+    if x.dtype.kind in "bi" or not unequal.any():
+        return bool(unequal.any())
+    return bool(np.any(np.abs(x[unequal] - y[unequal]) > tol))
 
 
 def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limits.TOL):
@@ -776,10 +857,11 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
     acceptance probabilities). Works for every program kind.
 
     Both routes run on the copy padded to the widest level (`_padded`). The
-    certificate (`_commutes_pairwise`) comes first: if, within each layer,
-    the operators of every two variables commute on the states that own-order
-    subsequences reach before them, the answer is True, for any n and without
-    a 2**n table. Otherwise the sampled check decides: `sample_orders` gives
+    certificate (`_commutes_pairwise`) comes first, and the padded copy keeps
+    its verdict per `tol`: if, within each layer, the operators of every two
+    variables commute on the states that own-order subsequences reach before
+    them, the answer is True, for any n and without a 2**n table. Otherwise
+    the sampled check decides: `sample_orders` gives
     the `trials` orders tried (limits.COMMUTATIVITY_ORDERS by default, as in
     the lift's gate), and functional equality is checked on all 2**n inputs
     (n <= limits.COMMUTATIVITY_CAP). An order-independent program that fails
@@ -795,7 +877,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
         raise ShapeError("is_commutative needs at least one trial, got %r" % (trials,))
     n = program.n
     padded = _padded(program)
-    if _commutes_pairwise(padded, tol):
+    if tol not in padded._certificates:
+        padded._certificates[tol] = _commutes_pairwise(padded, tol)
+    if padded._certificates[tol]:
         return True
     limits.check(n, limits.COMMUTATIVITY_CAP, "n of the commutativity check")
     baseline = _whole_table(padded).astype(np.float64)

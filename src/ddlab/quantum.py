@@ -13,6 +13,12 @@ slots) and applies every other operator as a dense `g @ state`, checking the
 norm after each dense step. A gather neither rounds nor changes the norm, so
 the acceptance is the dense walk's, bit for bit.
 
+A QuantumProgram is immutable. Besides what every program derives once
+(`diagrams.LeveledProgram`: per-input forms, the whole table, the
+certificate's verdict; it is its own padded copy), it keeps the deviation
+from unitarity that its constructor measures on every stored matrix, and
+`check_unitary` reports that value.
+
 Conventions:
   * amplitudes are complex; acceptance probability is the squared-modulus mass
     on the accepting subset;
@@ -37,18 +43,24 @@ from .diagrams import (LeveledProgram, _evaluate, _norm_order, _reordered, _whol
 from .errors import ShapeError, StructuralError
 
 
+def _deviation(g):
+    """max|G†G - I| of one square matrix."""
+    return float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
+
+
 def _as_unitary(mat, dim, where):
+    """The read-only copy of a unitary that a program stores, and its deviation from unitarity."""
     g = np.asarray(mat, dtype=np.complex128)
     if g.shape != (dim, dim):
         raise ShapeError("%s must be a %dx%d matrix" % (where, dim, dim))
-    dev = float(np.max(np.abs(g.conj().T @ g - np.eye(dim))))
+    g = g.copy()   # measured on the stored copy, so `check_unitary` reads the same value
+    dev = _deviation(g)
     if dev > limits.TOL:
         raise StructuralError(
             "%s deviates from unitarity by %.3g (tolerance %.1g)" % (where, dev, limits.TOL)
         )
-    g = g.copy()
     g.setflags(write=False)
-    return g
+    return g, dev
 
 
 class QuantumProgram(LeveledProgram):
@@ -58,7 +70,7 @@ class QuantumProgram(LeveledProgram):
     states is multiplied by `g.T`, and the lift's operators are the
     transposes of the classical row-vector ones."""
 
-    __slots__ = ("dim", "initial", "accept", "_accept_idx")
+    __slots__ = ("dim", "initial", "accept", "_accept_idx", "_unitarity")
     _FIELDS = ("n", "dim", "order", "initial", "steps", "accept", "k")
 
     def __init__(self, n, dim, order, initial, steps, accept, k=1):
@@ -86,11 +98,11 @@ class QuantumProgram(LeveledProgram):
         self.initial = vec
         if len(steps) != self.n:
             raise ShapeError("expected %d transition pairs, got %d" % (self.n, len(steps)))
-        checked = {}   # id -> (matrix, checked copy): a lift repeats a few matrices
+        checked = {}   # id -> (matrix, checked copy, deviation): a lift repeats a few matrices
 
         def unitary(g, where):
             if id(g) not in checked:
-                checked[id(g)] = g, _as_unitary(g, self.dim, where)
+                checked[id(g)] = (g,) + _as_unitary(g, self.dim, where)
             return checked[id(g)][1]
 
         self.steps = tuple(
@@ -98,7 +110,9 @@ class QuantumProgram(LeveledProgram):
              unitary(g1, "step %d bit-1 matrix" % (i + 1)))
             for i, (g0, g1) in enumerate(steps)
         )
-        self._forms = None
+        # the running max that `check_unitary` takes over raw matrices
+        self._unitarity = max([0.0] + [dev for _, _, dev in checked.values()])
+        self._derive_later()
         acc = frozenset(int(s) for s in accept)
         if any(not 1 <= s <= self.dim for s in acc):
             raise StructuralError("accepting set must be a subset of {1..dim}")
@@ -113,6 +127,11 @@ class QuantumProgram(LeveledProgram):
 
     def _act(self, states, g):
         return states @ np.swapaxes(g, -1, -2)   # g may be a stack of operators
+
+    def _side_by_side(self, gs):
+        # stacked on top of each other, so that the transpose `_act` takes
+        # sets their row-vector actions side by side
+        return gs.reshape(-1, gs.shape[-1])
 
     def _form(self, g):
         """Per-input form of a unitary: when g is exactly a 0/1 permutation
@@ -205,21 +224,20 @@ class UnitarityReport:
 def check_unitary(program_or_matrices, tol=limits.TOL):
     """Max over matrices of max|G†G - I|; pass iff within tolerance.
 
-    Accepts a QuantumProgram or an iterable of raw square matrices (the latter
+    Accepts a QuantumProgram, whose constructor measured the deviation of
+    every matrix it stores, or an iterable of raw square matrices (the latter
     lets deliberately broken matrices be reported rather than rejected at
     construction).
     """
     if isinstance(program_or_matrices, QuantumProgram):
-        mats = [g for pair in program_or_matrices.steps for g in pair]
+        worst = program_or_matrices._unitarity
+        count = 2 * len(program_or_matrices.steps)
     else:
         mats = [np.asarray(g, dtype=np.complex128) for g in program_or_matrices]
-    worst = 0.0
-    for g in mats:
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if any(g.ndim != 2 or g.shape[0] != g.shape[1] for g in mats):
             raise ShapeError("unitarity check expects square matrices")
-        dev = float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
-        worst = max(worst, dev)
-    return UnitarityReport(max_deviation=worst, passed=worst <= tol, matrices_checked=len(mats))
+        worst, count = max([0.0] + [_deviation(g) for g in mats]), len(mats)
+    return UnitarityReport(max_deviation=worst, passed=worst <= tol, matrices_checked=count)
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,9 @@ def lift(program, layout, mode):
         raise ShapeError("the quantum lift is defined for single-layer base programs in xor mode")
     q, w = layout.q, diagrams.width(program)
     limits.check_program(program.k * layout.n, q * w, program._MATRIX)
-    base = diagrams._padded(program)   # the gate pads the same way, so pad once for both
+    # the program keeps its padded copy, and the copy keeps its certificate's
+    # verdict, so a gate after is_commutative(program) runs no certificate
+    base = diagrams._padded(program)
     if not diagrams.is_commutative(base):
         raise CommutativityError(
             "base program failed the commutativity check; reordering is undefined for it"

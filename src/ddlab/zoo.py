@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .boolfn import BoolFn, VarOrder
-from .diagrams import LeveledObdd, Nobdd, Pobdd, index_bits
+from .diagrams import LeveledObdd, Nobdd, Pobdd, _Packed, index_bits
 from .errors import ShapeError
 from .quantum import QuantumProgram
 from .reorder import BlockLayout, reorder_obdd
@@ -468,28 +468,22 @@ def or_guess_nobdd(q):
     width = q + 2
     limits.check_program(q, width, matrix=True)
     start, acc = 0, q + 1
-    steps = []
-    for pos in range(q):
-        var = pos + 1
-        rows = []
-        for node in range(width):
-            if node == start:
-                others = tuple(g for g in range(1, q + 1) if g != var)
-                rows.append((others, others + (acc,)))
-            elif node == acc:
-                rows.append(((acc,), (acc,)))
-            elif node == var:
-                rows.append(((), (acc,)))
-            else:
-                rows.append(((node,), (node,)))
-        steps.append(rows)
+    level, guess = np.arange(q), np.arange(1, q + 1)   # position pos reads variable pos + 1
+    mats = np.zeros((q, 2, width, width), dtype=bool)   # [position, bit, node, successor]
+    mats[:, :, guess, guess] = True                     # a guess waits for its variable,
+    mats[level, :, guess, guess] = False                # which kills it on a 0
+    mats[level, 1, guess, acc] = True                   # and accepts on a 1
+    mats[:, :, start, 1: q + 1] = True                  # the start guesses another position
+    mats[level, :, start, guess] = False
+    mats[:, 1, start, acc] = True                       # or accepts on a 1
+    mats[:, :, acc, acc] = True
     return Nobdd(
         n=q,
         k=1,
         order=VarOrder.identity(q),
         widths=[width] * (q + 1),
         start=start,
-        steps=steps,
+        steps=_Packed((m[0], m[1]) for m in mats),
         accepting=[acc],
     )
 

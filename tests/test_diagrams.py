@@ -187,7 +187,9 @@ def _per_entry_product(states, op):
 def test_boolean_product_on_the_certificate_stacks_equals_a_per_entry_product(chunk_rows,
                                                                               monkeypatch):
     # every product the certificate makes on two boolean bases, one of them
-    # layered; at 64 chunk rows a block holds one row of a large batch
+    # layered: each is one 2-d product on operators set side by side; at 64
+    # chunk rows a float block holds 4 state rows, and a product one or two
+    # later positions
     calls, act = [], Nobdd._act
 
     def recorded(self, states, op):
@@ -199,7 +201,7 @@ def test_boolean_product_on_the_certificate_stacks_equals_a_per_entry_product(ch
     monkeypatch.setattr(Nobdd, "_act", recorded)
     for program in (or_guess_nobdd(8), embed_obdd_as_nobdd(pj_2k_obdd(2, 2))):
         assert _commutes_pairwise(diagrams._padded(program), limits.TOL)
-    assert {states.ndim for states, _, _ in calls} == {2, 5}
+    assert calls and {(states.ndim, op.ndim) for states, op, _ in calls} == {(2, 2)}
     for states, op, out in calls:
         assert out.dtype == bool and np.array_equal(out, _per_entry_product(states, op))
 
@@ -257,6 +259,36 @@ def test_layer_end_adds_in_the_order_of_np_add_at(program):
         # a sum in another order than np.add.at's differs on some row
         reordered = states[:, [6, 4, 3, 0]].sum(axis=1)
         assert not np.array_equal(mapped[:, 2], reordered)
+
+
+def _column_loop_end(states, end):
+    # the layer end as a loop over the state columns, in source order
+    mapped = np.zeros_like(states)
+    for i, t in enumerate(end.tolist()):
+        mapped[:, t] += states[:, i]
+    return mapped
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, bool])
+def test_layer_end_equals_the_column_loop_bit_for_bit(dtype):
+    # a 2-to-1 direct-mode map ((slot, node) -> end[node], end a bijection,
+    # over two slots) and the (slot, node) -> node map of four slots
+    rng = np.random.default_rng(7)
+    w = 8
+    node = np.arange(4 * w) % w
+    maps = [rng.permutation(w)[node[: 2 * w]], node]
+    program = or_guess_nobdd(2) if dtype is bool else eq_geometric_pobdd(2)
+    for end in maps:
+        shape = (300, end.shape[0])
+        if dtype is bool:
+            states = rng.random(shape) < 0.3
+        else:
+            states = rng.random(shape) * 10.0 ** rng.integers(-8, 17, shape)
+            if dtype is np.complex128:
+                states = states + 1j * rng.random(shape) * 10.0 ** rng.integers(-8, 17, shape)
+        mapped, reference = program._end(states, end), _column_loop_end(states, end)
+        assert mapped.dtype == reference.dtype and mapped.shape == reference.shape
+        assert np.ascontiguousarray(mapped).tobytes() == reference.tobytes()
 
 
 def test_pobdd_rows_must_be_stochastic():

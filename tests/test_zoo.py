@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddlab import limits
 from ddlab.boolfn import BoolFn, VarOrder, evaluate, n_min
-from ddlab.diagrams import function_of, index_bits, is_commutative, width
+from ddlab.diagrams import Nobdd, function_of, index_bits, is_commutative, width
 from ddlab.errors import ShapeError
 from ddlab.fixtures import (eq_multipliers, load_multiplier_fixtures, modp_multipliers,
                             recombined_eq_multipliers)
@@ -332,6 +332,38 @@ def test_equality_programs_match_the_row_by_row_construction(q):
         assert p0.flags.c_contiguous and p1.flags.c_contiguous
     for (t0, t1), rows in zip(eq_weighted_obdd(q).steps, _eq_weighted_rows(q)):
         assert t0.tolist() == [r[0] for r in rows] and t1.tolist() == [r[1] for r in rows]
+
+
+def _or_guess_rows(q):
+    """The row-by-row successor sets of or_guess_nobdd(q), kept as its reference."""
+    start, acc = 0, q + 1
+    steps = []
+    for var in range(1, q + 1):
+        rows = []
+        for node in range(q + 2):
+            if node == start:
+                others = tuple(g for g in range(1, q + 1) if g != var)
+                rows.append((others, others + (acc,)))
+            elif node == acc:
+                rows.append(((acc,), (acc,)))
+            elif node == var:
+                rows.append(((), (acc,)))
+            else:
+                rows.append(((node,), (node,)))
+        steps.append(rows)
+    return steps
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
+def test_or_guess_matches_the_row_by_row_construction(q):
+    prog = or_guess_nobdd(q)
+    reference = Nobdd(n=q, k=1, order=VarOrder.identity(q), widths=[q + 2] * (q + 1), start=0,
+                      steps=_or_guess_rows(q), accepting=[q + 1])
+    assert (prog.widths, prog.start, prog.accepting) == (reference.widths, 0, {q + 1})
+    for pair, expected in zip(prog.steps, reference.steps):
+        for op, want in zip(pair, expected):
+            assert op.dtype == want.dtype and np.array_equal(op, want)
+            assert op.flags.c_contiguous and not op.flags.writeable
 
 
 def test_fingerprint_eq_matches_formula():
