@@ -374,12 +374,14 @@ class Nobdd(LeveledProgram):
         # numpy's boolean matmul has no BLAS kernel. The float sums are
         # integers below 2**53, so the product is exact. One float product
         # covers the whole broadcast batch on a block of rows; a block holds
-        # limits.CHUNK_ROWS / 16 rows over the batch together, so its float
-        # copies fit in the memory of one chunk of boolean states.
+        # limits.CHUNK_ROWS / 16 rows over the batch together, an operator
+        # with m times as many columns as the states counting as m, so its
+        # float copies fit in the memory of one chunk of boolean states.
         batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
         out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
         mat = op.astype(np.float64)
-        block = max(1, (limits.CHUNK_ROWS >> 4) // max(1, math.prod(batch)))
+        wide = max(1, op.shape[-1] // states.shape[-1])
+        block = max(1, (limits.CHUNK_ROWS >> 4) // (wide * math.prod(batch)))
         for lo in range(0, states.shape[-2], block):
             rows = states[..., lo: lo + block, :].astype(np.float64)
             np.greater(rows @ mat, 0, out=out[..., lo: lo + block, :])
@@ -774,7 +776,8 @@ def _commutes_pairwise(padded, tol):
     later = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]   # later[a, b]: a < b
     for j in range(padded.k):
         stack = np.array([padded._pair(j * n + p) for p in range(n)])
-        edges = np.abs(stack).sum(axis=1) if padded._MATRIX else stack
+        # a boolean pair's edges stay boolean: + is or
+        edges = np.abs(stack[:, 0]) + np.abs(stack[:, 1]) if padded._MATRIX else stack
         # states[a]: the states of own-order subsequences that skip position
         # a; states[n]: those of the whole layer so far; before[a, b]: states[a]
         # before position b
@@ -807,7 +810,9 @@ def _pairs_commute(padded, stack, start, masks, tol):
     maps a chunk is any run of pairs, and each side is one gather over it.
     For matrices a chunk is one position a with a run of later positions:
     each side is then one 2-d product on operators set side by side, which
-    keeps BLAS (a broadcast stack of products does not)."""
+    keeps BLAS (a broadcast stack of products does not). first is made in
+    runs of as many positions as a chunk holds, so no product sets more
+    operators side by side than a chunk does."""
     n, r, w = stack.shape[0], start.shape[0], padded.widths[0]
     if not padded._MATRIX:
         first = _then(padded, start, stack)   # [position, bit, row]
@@ -821,9 +826,10 @@ def _pairs_commute(padded, stack, start, masks, tol):
                 return False
         return True
     ops = stack.reshape((2 * n,) + stack.shape[2:])   # [(position, bit), ...]
-    first = padded._act(start, padded._side_by_side(ops)).reshape(r, 2 * n, w)
-    first = np.ascontiguousarray(first.swapaxes(0, 1))   # [(position, bit), row, node]
     group = max(1, limits.CHUNK_ROWS // (4 * r))
+    first = np.concatenate([   # [(position, bit), row, node], a run of positions per product
+        padded._act(start, padded._side_by_side(ops[lo: lo + 2 * group])).reshape(r, -1, w)
+        .swapaxes(0, 1) for lo in range(0, 2 * n, 2 * group)])
     for a in range(n - 1):
         own = padded._side_by_side(ops[2 * a: 2 * a + 2])
         for lo in range(a + 1, n, group):

@@ -88,6 +88,67 @@ def _reference_commutes_pairwise(padded, tol=limits.TOL):
     return True
 
 
+# the per-position certificate that the batched one replaced, kept as its
+# reference: one product per position a, against every later position b in
+# groups, on the rows that some before[a, b] selects
+
+
+def _reference_successors(padded, masks, pair):
+    if padded._MATRIX:
+        return padded._act(masks.astype(np.float64), np.abs(pair[0]) + np.abs(pair[1])) > 0
+    out = np.zeros_like(masks)
+    rows, nodes = np.nonzero(masks)
+    for op in pair:
+        out[rows, op[nodes]] = True
+    return out
+
+
+def _reference_then(padded, images, ops):
+    if padded._MATRIX:
+        return padded._act(images, ops)
+    w = ops.shape[-1]
+    offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
+    return padded._act(images + offsets, ops.ravel())
+
+
+def _per_position_certificate(padded, tol=limits.TOL):
+    n, w = padded.n, padded.widths[0]
+    basis = padded._map_op(np.arange(w), w)
+    reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
+    for j in range(padded.k):
+        pairs = [padded._pair(j * n + p) for p in range(n)]
+        skips, before = np.tile(reached, (n, 1)), np.empty((n, n, w), dtype=bool)
+        for b, pair in enumerate(pairs):
+            before[:, b] = skips
+            step = _reference_successors(padded, np.vstack([skips, reached]), pair)
+            step[b] = False
+            skips, reached = skips | step[:n], step[n]
+        stack = np.array(pairs)
+        for a in range(n - 1):
+            rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
+            start, own = basis[rows], stack[a]
+            first = _reference_then(padded, start, own)[None, None]
+            group = max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
+            for lo in range(a + 1, n, group):
+                later, masks = stack[lo: lo + group], before[a, lo: lo + group]
+                a_first = _reference_then(padded, first, later[:, :, None])
+                b_first = _reference_then(padded, _reference_then(padded, start, later)[:, :, None],
+                                          own[None, None])
+                if a_first.dtype.kind in "bi":
+                    differ = a_first != b_first
+                else:
+                    differ = np.abs(a_first - b_first) > tol
+                if padded._MATRIX:
+                    differ = differ.any(axis=-1)
+                if np.any(differ & masks[:, None, None, rows]):
+                    return False
+        if padded.layer_ends[j] is not None:
+            mapped = np.zeros(w, dtype=bool)
+            mapped[padded.layer_ends[j][reached]] = True
+            reached = mapped
+    return True
+
+
 def _certified(program, trials=50, seed=0):
     """The certificate's verdict; a certified program must be commutative by the reference."""
     certified = _commutes_pairwise(_padded(program), limits.TOL)
@@ -252,6 +313,7 @@ def test_verdicts_match_the_per_order_loop_on_random_programs(kind):
         verdict = is_commutative(program, trials=trials, seed=seed)
         assert verdict == _reference_is_commutative(program, trials, seed), case
         certified.append(_certified(program, trials, seed))
+        assert certified[-1] == _per_position_certificate(_padded(program)), case
         if case < 10:
             perms = [program.order.perm] + sample_orders(program.n, 8, seed)
             _assert_profiles_match(program, perms)
@@ -360,6 +422,7 @@ def test_the_certificate_is_sound_and_refines_the_all_states_check(kind):
         program = _core_program(rng, kind)
         padded = _padded(program)
         certified = _commutes_pairwise(padded, limits.TOL)
+        assert certified == _per_position_certificate(padded), case
         by_reference = _reference_commutes_pairwise(padded)
         assert certified or not by_reference, case
         seen[certified, by_reference] += 1
@@ -393,98 +456,11 @@ def test_the_certificate_batches_its_products(monkeypatch):
     assert 0 < len(calls) <= 4 * k * n < 4 * k * math.comb(n, 2)
 
 
-# --------------------------------------------------------------------------
-# the batched certificate against the per-position one it replaced, kept
-# here as the reference: one product per position a, against every later
-# position b in groups, on the rows that some before[a, b] selects
-
-
-def _reference_successors(padded, masks, pair):
-    if padded._MATRIX:
-        return padded._act(masks.astype(np.float64), np.abs(pair[0]) + np.abs(pair[1])) > 0
-    out = np.zeros_like(masks)
-    rows, nodes = np.nonzero(masks)
-    for op in pair:
-        out[rows, op[nodes]] = True
-    return out
-
-
-def _reference_then(padded, images, ops):
-    if padded._MATRIX:
-        return padded._act(images, ops)
-    w = ops.shape[-1]
-    offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
-    return padded._act(images + offsets, ops.ravel())
-
-
-def _per_position_certificate(padded, tol=limits.TOL):
-    n, w = padded.n, padded.widths[0]
-    basis = padded._map_op(np.arange(w), w)
-    reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
-    for j in range(padded.k):
-        pairs = [padded._pair(j * n + p) for p in range(n)]
-        skips, before = np.tile(reached, (n, 1)), np.empty((n, n, w), dtype=bool)
-        for b, pair in enumerate(pairs):
-            before[:, b] = skips
-            step = _reference_successors(padded, np.vstack([skips, reached]), pair)
-            step[b] = False
-            skips, reached = skips | step[:n], step[n]
-        stack = np.array(pairs)
-        for a in range(n - 1):
-            rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
-            start, own = basis[rows], stack[a]
-            first = _reference_then(padded, start, own)[None, None]
-            group = max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
-            for lo in range(a + 1, n, group):
-                later, masks = stack[lo: lo + group], before[a, lo: lo + group]
-                a_first = _reference_then(padded, first, later[:, :, None])
-                b_first = _reference_then(padded, _reference_then(padded, start, later)[:, :, None],
-                                          own[None, None])
-                if a_first.dtype.kind in "bi":
-                    differ = a_first != b_first
-                else:
-                    differ = np.abs(a_first - b_first) > tol
-                if padded._MATRIX:
-                    differ = differ.any(axis=-1)
-                if np.any(differ & masks[:, None, None, rows]):
-                    return False
-        if padded.layer_ends[j] is not None:
-            mapped = np.zeros(w, dtype=bool)
-            mapped[padded.layer_ends[j][reached]] = True
-            reached = mapped
-    return True
-
-
 @pytest.mark.parametrize("spec", PROGRAM_SPECS + ["or-nobdd:8", "or-nobdd:12", "eq-obdd:8",
                                                   "eq-pobdd:8", "rpj-2k:1,2", "pj-2k:2,4"])
 def test_the_batched_certificate_matches_the_per_position_one_on_zoo_bases(spec):
     padded = _padded(parse_program_spec(spec))
     assert _commutes_pairwise(padded, limits.TOL) == _per_position_certificate(padded)
-
-
-@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
-def test_the_batched_certificate_matches_the_per_position_one_on_random_programs(kind):
-    # n <= 5, one or two layers with layer ends, uneven level widths; a
-    # certified program gives the own order's outputs under all n! orders
-    rng = np.random.default_rng(300 + sorted(RANDOM_KINDS).index(kind))
-    programs = [make(rng) for _ in range(60) for make in (RANDOM_KINDS[kind],
-                                                          lambda rng: _core_program(rng, kind))]
-    programs = [p for p in programs if p.n <= 5]
-    verdicts = []
-    for case, program in enumerate(programs):
-        padded = _padded(program)
-        verdicts.append(_commutes_pairwise(padded, limits.TOL))
-        assert verdicts[-1] == _per_position_certificate(padded), case
-        if verdicts[-1]:
-            own = _reference_profile(padded, program.order.perm)
-            for perm in itertools.permutations(range(1, program.n + 1)):
-                np.testing.assert_allclose(_reference_profile(padded, perm), own,
-                                           rtol=0, atol=limits.TOL, err_msg=str(case))
-    assert len(programs) >= 60 and 10 <= sum(verdicts) <= len(programs) - 10
-    assert any(p.k == 2 for p in programs)
-    if kind != "quantum":   # a quantum program has one dimension and no layer ends
-        assert any(p.k == 2 and any(e is not None for e in p.layer_ends) for p in programs)
-        assert any(len(set(p.widths)) > 1 for p in programs)
 
 
 @pytest.mark.parametrize("chunk_rows", [limits.CHUNK_ROWS, 16])
@@ -536,6 +512,8 @@ def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
     operator_bytes = sum(op.nbytes for pair in padded.steps for op in pair)
     assert _commutes_pairwise(padded, limits.TOL) == (spec in CERTIFIED)
     assert is_commutative(program, trials=1)   # fills the input-table caches
+    # a program keeps its padded copy, table and verdict, so a fresh one is measured
+    program = _budget_program(spec)
     tracemalloc.start()
     try:
         assert is_commutative(program, trials=trials)
