@@ -6,31 +6,39 @@ A program has k*n + 1 levels; level ell (0-based) of layer j reads variable
 order.perm[ell % n], and nodes on a level are 0-indexed. `LeveledProgram`
 holds what the kinds share: n, k, the order, the level widths, the packed
 operator pair of every level (`steps`, one operator per value of the bit
-read) and the layer-end maps. The kinds differ only in how an operator is
-packed and acts on the state, and in how the last state is read out:
+read) and the layer-end maps. An operator is either an index map (int64,
+node i -> m[i]) or a dense matrix in the kind's semiring; the kinds differ
+only in their matrices, their state and how the last state is read out:
 
-  LeveledObdd     index map (int64, w)       node           sink bit
+  LeveledObdd     index maps only            node           sink bit
   Nobdd           boolean matrix (w, w')     reachable set  1 iff a node accepts
   Pobdd           stochastic matrix (w, w')  distribution   accepting mass
   QuantumProgram  unitary (dim, dim)         amplitudes     accepting |amp|^2
                   (quantum.py; one pair per variable, repeated each layer)
 
+Layer ends are maps; per-node rows pack to matrices. A lift's address
+levels, a lift's value level whose base operators are all maps, the embedded
+deterministic programs and every exact 0/1 permutation that the quantum
+constructor reads stay maps. A map acts on vector states on every kind alike
+(`_map_act`), with its dense matrix's numbers bit for bit.
+
 A program runs on two routes. `_whole_table` gives the output on all 2**n
 inputs from one prefix-trie pass in the program's own order; every
-whole-table routine and the exhaustive bounded-error check use it. On a
-matrix kind, a level that sends rows through both operators of its pair is
-one product on the stacked pair. The per-input evaluators (`eval_obdd`,
-`eval_nobdd`, `eval_pobdd` and `quantum.accept_probability`) and the sampled
-bounded-error check share `_evaluate`, the reference route that the table is
-tested against. It walks one input through the levels on Python scalars,
-over each operator's per-input form: the nonzero (target, weight) entries of
-every node's row, or a plain list for an index map, built once per distinct
-operator object on the first per-input call. The state holds only the live
-nodes: one node, the set of reachable nodes, or a dict from each node with
-mass to its mass. So a step costs what one input's state needs, not the
-whole operator. The quantum kind walks a dense amplitude vector: an operator
-that is exactly a 0/1 permutation matrix has an index array as its form and
-its step is a gather; any other unitary stays a dense `g @ state` product.
+whole-table routine and the exhaustive bounded-error check use it. A level
+that sends rows through both operators of its pair is one product on the
+stacked pair when both are matrices, and one action per operator otherwise.
+The per-input evaluators (`eval_obdd`, `eval_nobdd`, `eval_pobdd` and
+`quantum.accept_probability`) and the sampled bounded-error check share
+`_evaluate`, the reference route that the table is tested against. It walks
+one input through the levels on Python scalars, over each operator's
+per-input form: the nonzero (target, weight) entries of every node's row
+(one entry for a map), or a plain list of targets on the deterministic kind,
+built once per distinct operator object on the first per-input call. The
+state holds only the live nodes: one node, the set of reachable nodes, or a
+dict from each node with mass to its mass. So a step costs what one input's
+state needs, not the whole operator. The quantum kind walks a dense
+amplitude vector: a map's form is its inverse permutation and its step is a
+gather; any other unitary stays a dense `g @ state` product.
 
 The commutativity check has two routes. The certificate
 (`_commutes_pairwise`) comes first: within each layer, the operators of every
@@ -38,10 +46,11 @@ two distinct variables must commute on the states that some order can meet
 them in, found by one reachability scan per layer. The start rows' images
 under every operator are made once per layer, and each side of every pair is
 one of them acted on by the other operator: one gather over a chunk of pairs
-for index maps, one 2-d product per position for matrices. It takes O(k*n)
-operator products and no 2**n table. A program that fails it goes to the
-sampled route: each sampled order gives a program that reads the variables
-in that order with their own operators (`_reordered`), and its whole table
+for index maps, one 2-d product per position for matrices; a layer that
+mixes maps and matrices is compared as matrices. It takes O(k*n) operator
+products and no 2**n table. A program that fails it goes to the sampled
+route: each sampled order gives a program that reads the variables in that
+order with their own operators (`_reordered`), and its whole table
 (`_permuted_profile`) is compared with the program's own; the check returns
 False at the first order that differs.
 
@@ -136,10 +145,23 @@ def _as_level(level, shape, dtype, message):
     raise ShapeError(message)
 
 
-def _pad_map(m, width):
-    """Index map extended to `width` nodes; the added nodes map to node 0."""
-    out = np.zeros(width, dtype=np.int64)
-    out[: m.shape[0]] = m
+def _map_act(states, m, width, out=None):
+    """Vector states (nodes on the last axis) moved by the index map m onto
+    `width` nodes, into `out` if given: a permutation is a gather through
+    its inverse; any other map adds each node's entries into its target's in
+    source order, the sums of np.add.at, several times faster than its 2-d
+    path (on booleans += is or). Both equal the dense product bit for bit: a
+    0/1 product adds only exact zeros to a permutation column's one term,
+    and a 2-to-1 column's two terms commute."""
+    if out is None:
+        out = np.empty(states.shape[:-1] + (width,), dtype=states.dtype)
+    if m.shape[0] == width and np.bincount(m, minlength=width).max() == 1:
+        # the indexes are in range, and numpy's default mode would buffer `out`
+        return np.take(states, np.argsort(m), axis=-1, out=out, mode="clip")
+    out[...] = 0
+    targets = list(out.swapaxes(0, -1))   # one view per target node, added into in place
+    for t, col in zip(m.tolist(), states.swapaxes(0, -1)):
+        targets[t] += col
     return out
 
 
@@ -151,19 +173,21 @@ class _Packed(tuple):
 class LeveledProgram:
     """What every program kind shares. A kind supplies its constructor
     fields (`_FIELDS`), the packing of one level's rows (`_pack_level`), the
-    state dtype or start (`_DTYPE`, `_first`), its batch operator action
-    (`_act`), its per-input route (`_form`, `_end_form`, `_walk`,
-    `_readout_one`) and its readout (`_readout`, `_readout_on`). The
-    defaults here are those of the matrix kinds, whose states are row
-    vectors multiplied on the right. A program is immutable, so what is
-    derived from it is derived once and kept on it: the per-input forms
-    (`_forms`), the padded copy (`_padded_copy`, left empty when the program
-    is its own), the read-only whole table (`_table`) and the certificate's
-    verdict per tolerance (`_certificates`)."""
+    state dtype or start (`_DTYPE`, `_first`), its matrix product
+    (`_product`), its per-input route (`_form`, `_walk`, `_readout_one`) and
+    its readout (`_readout`, `_readout_on`). The defaults here are those of
+    the vector kinds, whose states are row vectors multiplied on the right;
+    the deterministic kind, whose states are nodes, has its own `_act` and
+    `_through_pair`. Each method reads from an operator itself whether it is
+    an index map or a matrix. A program is immutable, so what is derived
+    from it is derived once and kept on it: the per-input forms (`_forms`),
+    the padded copy (`_padded_copy`, left empty when the program is its
+    own), the read-only whole table (`_table`) and the certificate's verdict
+    per tolerance (`_certificates`)."""
 
     __slots__ = ("n", "k", "order", "widths", "steps", "layer_ends", "_forms", "_padded_copy",
                  "_table", "_certificates", "__weakref__")
-    _MATRIX = True   # operators are matrices, not index maps
+    _MATRIX = True   # states are node vectors; check_program counts operators as matrices
 
     def _init_levels(self, n, k, order, widths, start, steps, layer_ends):
         if k < 1:
@@ -219,25 +243,35 @@ class LeveledProgram:
         vec[self.start] = 1
         return vec if rows is None else np.tile(vec, (rows, 1))
 
-    def _act(self, states, op):
-        return states @ op
+    def _act(self, states, op, width=None, out=None):
+        """The kind's product with a matrix; `_map_act` onto `width` (op's length by default)."""
+        if op.dtype.kind == "i":
+            return _map_act(states, op, op.shape[0] if width is None else width, out)
+        return self._product(states, op, out)
 
-    def _end(self, states, end):
-        # the transposed states' rows added in source order into whole
-        # contiguous rows: the sums are np.add.at's, several times faster than
-        # its 2-d path and twice as fast as a loop over columns; on booleans
-        # += is or
-        cols = states.T
-        mapped = np.zeros(cols.shape, dtype=states.dtype)
-        for i, t in enumerate(end.tolist()):
-            mapped[t] += cols[i]
-        return mapped.T
+    def _product(self, states, op, out=None):
+        return np.matmul(states, op, out=out)
+
+    def _through_pair(self, halves, pair, width):
+        """The rows of halves[b] acted on by pair[b] onto `width` nodes, bit
+        0's first (halves of length 1 go through both operators): one product
+        on a stacked pair of matrices, else each operator into its part of one output."""
+        if all(op.dtype.kind != "i" for op in pair):
+            out = self._act(halves, np.stack(pair))
+        else:
+            out = np.empty((len(pair),) + halves.shape[1:-1] + (width,), dtype=halves.dtype)
+            for b, op in enumerate(pair):
+                self._act(halves[b % len(halves)], op, width, out=out[b])
+        return out.reshape((-1,) + out.shape[2:])
 
     def _side_by_side(self, ops):
         """One operator acting as each of the stacked `ops`, their images side by side."""
         return ops.swapaxes(0, 1).reshape(ops.shape[1], -1)
 
     def _pad(self, op, width):
+        """op extended to `width` nodes; the added nodes go to node 0."""
+        if op.dtype.kind == "i":
+            return np.concatenate([op, np.zeros(width - op.shape[0], dtype=np.int64)])
         big = np.zeros((width, width), dtype=op.dtype)
         big[: op.shape[0], : op.shape[1]] = op
         big[op.shape[0]:, 0] = 1
@@ -258,12 +292,16 @@ class LeveledProgram:
             built = {key: self._form(op) for key, op in distinct.items()}
             levels = tuple(tuple(built[id(op)] for op in self._pair(ell))
                            for ell in range(self.k * self.n))
-            ends = tuple(None if end is None else self._end_form(end) for end in self.layer_ends)
+            ends = tuple(None if end is None else self._form(end) for end in self.layer_ends)
             self._forms = levels, ends
         return self._forms
 
     def _form(self, op):
-        """Per-input form of a matrix: each row's nonzero (target, weight) entries."""
+        """Per-input form of an operator: each row's nonzero (target, weight)
+        entries; a map's row i has the one entry (m[i], 1)."""
+        if op.dtype.kind == "i":
+            one = np.ones((), dtype=self._DTYPE).item()
+            return [[(t, one)] for t in op.tolist()]
         flat = np.flatnonzero(op != 0)   # numpy's 2-d nonzero is several times slower
         rows, cols = np.divmod(flat, op.shape[1])
         form = [[] for _ in range(op.shape[0])]
@@ -271,29 +309,28 @@ class LeveledProgram:
             form[r].append((c, weight))
         return form
 
-    def _end_form(self, end):
-        """`_form` of a layer end's `_map_op` matrix, built from the map itself."""
-        one = np.ones((), dtype=self._DTYPE).item()
-        return [[(t, one)] for t in end.tolist()]
-
     def _readout_one(self, state):
         return self._readout(state)
 
-    @classmethod
-    def _map_op(cls, m, width):
-        """The operator sending node i to node m[i] on a level of `width` nodes."""
-        op = np.zeros((m.shape[0], width), dtype=cls._DTYPE)
-        op[np.arange(m.shape[0]), m] = 1
-        return op
+    def _dense(self, op):
+        """The matrix of a square operator; a map's row i has its 1 in column m[i]."""
+        if op.dtype.kind != "i":
+            return op
+        mat = np.zeros((op.shape[0],) * 2, dtype=self._DTYPE)
+        mat[np.arange(op.shape[0]), op] = 1
+        return mat
 
-    @classmethod
-    def _block_op(cls, ops, targets):
-        """Operator on (slot, node) pairs that applies ops[c] to the nodes of
-        slot c and moves them to slot targets[c]."""
-        q, (w, w_next) = len(ops), ops[0].shape
-        big = np.zeros((q, w, q, w_next), dtype=cls._DTYPE)
-        big[np.arange(q), :, targets, :] = np.stack(ops)
-        return big.reshape(q * w, q * w_next)
+    def _block_op(self, ops, targets):
+        """Operator on (slot, node) pairs that applies the square ops[c] to
+        the nodes of slot c and moves them to slot targets[c]: a map when
+        every ops[c] is one, else a matrix (which a quantum lift, xor-only,
+        keeps block-diagonal, so it reads the same in its column convention)."""
+        q, w = len(ops), ops[0].shape[0]
+        if all(op.dtype.kind == "i" for op in ops):
+            return (targets[:, None] * w + np.stack(ops)).ravel()
+        big = np.zeros((q, w, q, w), dtype=self._DTYPE)
+        big[np.arange(q), :, targets, :] = np.stack([self._dense(op) for op in ops])
+        return big.reshape(q * w, q * w)
 
     def _lifted(self, n, steps, layer_ends, nodes):
         """The lift with these packed steps, whose node i stands for base node nodes[i]."""
@@ -323,13 +360,15 @@ class LeveledObdd(LeveledProgram):
     def _first(self, rows=None):
         return self.start if rows is None else np.full(rows, self.start, dtype=np.int64)
 
-    def _act(self, states, op):
+    def _act(self, states, op, width=None):
         return op[states]
+
+    def _through_pair(self, halves, pair, width):
+        # node-index states: one gather per operator, faster than a stacked one
+        return np.concatenate([op[halves[b % len(halves)]] for b, op in enumerate(pair)])
 
     def _form(self, op):
         return op.tolist()
-
-    _end_form = _form   # a layer end is an index map, like an operator
 
     def _walk(self, forms):
         node = self.start
@@ -337,26 +376,11 @@ class LeveledObdd(LeveledProgram):
             node = targets[node]
         return node
 
-    def _end(self, states, end):
-        return end[states]
-
-    def _pad(self, op, width):
-        return _pad_map(op, width)
-
     def _readout(self, states):
         return self.sink_values[states]
 
     def _readout_on(self, nodes):
         return {"sink_values": np.where(nodes >= 0, self.sink_values[nodes], 0)}
-
-    @classmethod
-    def _map_op(cls, m, width):
-        return np.asarray(m, dtype=np.int64)
-
-    @classmethod
-    def _block_op(cls, ops, targets):
-        w = ops[0].shape[0]
-        return (targets[:, None] * w + np.stack(ops)).ravel()
 
 
 class Nobdd(LeveledProgram):
@@ -370,15 +394,15 @@ class Nobdd(LeveledProgram):
         self._init_levels(n, k, order, widths, start, steps, layer_ends)
         self.accepting = self._norm_accepting(accepting)
 
-    def _act(self, states, op):
-        # numpy's boolean matmul has no BLAS kernel. The float sums are
-        # integers below 2**53, so the product is exact. One float product
-        # covers the whole broadcast batch on a block of rows; a block holds
-        # limits.CHUNK_ROWS / 16 rows over the batch together, an operator
-        # with m times as many columns as the states counting as m, so its
+    def _product(self, states, op, out=None):
+        # numpy's boolean matmul has no BLAS kernel; the float sums are
+        # integers below 2**53, so exact. One float product covers the whole
+        # batch on a block of limits.CHUNK_ROWS / 16 rows over the batch (an
+        # operator with m times the states' columns counting as m), so its
         # float copies fit in the memory of one chunk of boolean states.
         batch = np.broadcast_shapes(states.shape[:-2], op.shape[:-2])
-        out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
+        if out is None:
+            out = np.empty(batch + (states.shape[-2], op.shape[-1]), dtype=bool)
         mat = op.astype(np.float64)
         wide = max(1, op.shape[-1] // states.shape[-1])
         block = max(1, (limits.CHUNK_ROWS >> 4) // (wide * math.prod(batch)))
@@ -549,7 +573,7 @@ def _padded(program):
         program._padded_copy = program._rebuilt(
             widths=[w] * len(program.widths),
             steps=[tuple(program._pad(op, w) for op in pair) for pair in program.steps],
-            layer_ends=[None if e is None else _pad_map(e, w) for e in program.layer_ends],
+            layer_ends=[None if e is None else program._pad(e, w) for e in program.layer_ends],
             **program._readout_on(last),
         )
     return program._padded_copy
@@ -566,17 +590,6 @@ def _in_table_order(outputs, perm):
     return outputs[(high[:, None] + low).ravel()]
 
 
-def _through_pair(program, halves, pair):
-    """The rows of halves[b] acted on by pair[b], bit 0's first; halves of
-    length 1 go through both operators. A matrix kind makes one product on
-    the stacked pair; an index map gathers per operator, faster than a
-    stacked gather."""
-    if program._MATRIX:
-        out = program._act(halves, np.stack(pair))
-        return out.reshape((-1,) + out.shape[2:])
-    return np.concatenate([program._act(halves[b % len(halves)], op) for b, op in enumerate(pair)])
-
-
 def _whole_table(program):
     """Output of any program kind on every input, in truth-table order, from
     one prefix-trie pass in the program's own order. Bit ell of a state's row
@@ -585,8 +598,8 @@ def _whole_table(program):
     with the new bit on top; the bits read at later levels are fixed per
     block of 2**c rows, so at most limits.CHUNK_ROWS state rows are computed
     at a time. A later layer's first c levels re-split the rows on their
-    lowest bit, which each level moves to the top. On a matrix kind every
-    such level is one product on its stacked operator pair (`_through_pair`).
+    lowest bit, which each level moves to the top. A level whose pair is two
+    matrices is one product on the stacked pair (`LeveledProgram._through_pair`).
 
     The table is computed once and kept on the program, read-only; a caller
     that needs to write gets its own copy."""
@@ -597,19 +610,19 @@ def _whole_table(program):
     c = min(n, limits.CHUNK_ROWS.bit_length() - 1)
     prefix = program._first(1)
     for ell in range(c):
-        prefix = _through_pair(program, prefix[None], program._pair(ell))
+        prefix = program._through_pair(prefix[None], program._pair(ell), program.widths[ell + 1])
     out = []
     for block in range(1 << (n - c)):
         states = prefix
         for ell in range(program.k * n):
-            pos, pair = ell % n, program._pair(ell)
+            pos, pair, width = ell % n, program._pair(ell), program.widths[ell + 1]
             if pos >= c:
-                states = program._act(states, pair[block >> (pos - c) & 1])
+                states = program._act(states, pair[block >> (pos - c) & 1], width)
             elif ell >= n:
                 halves = states.reshape((-1, 2) + states.shape[1:]).swapaxes(0, 1)
-                states = _through_pair(program, halves, pair)
+                states = program._through_pair(halves, pair, width)
             if pos == n - 1 and program.layer_ends[ell // n] is not None:
-                states = program._end(states, program.layer_ends[ell // n])
+                states = program._act(states, program.layer_ends[ell // n], width)
         out.append(program._readout(states))
     program._table = _in_table_order(np.concatenate(out), np.array(program.order.perm) - 1)
     program._table.setflags(write=False)
@@ -731,7 +744,7 @@ def _successors(padded, states, edges):
     """The nodes reached from the nodes set in each row of the boolean
     `states` through either operator of a pair: `edges` is the pair's summed
     magnitudes for matrices (a nonzero entry is an edge), or its stacked maps."""
-    if padded._MATRIX:
+    if edges.dtype.kind != "i":
         return padded._act(states.astype(np.float64), edges) > 0
     flat = np.flatnonzero(states)   # numpy's 2-d nonzero is several times slower
     nodes = flat % states.shape[1]
@@ -740,12 +753,12 @@ def _successors(padded, states, edges):
     return out
 
 
-def _then(padded, images, ops):
+def _then(images, ops):
     """The images (node indexes) mapped by the index maps `ops`, batched over
     the leading axes, which broadcast: one flat gather."""
     w = ops.shape[-1]
     offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
-    return padded._act(images + offsets, ops.ravel())
+    return ops.ravel()[images + offsets]
 
 
 def _commutes_pairwise(padded, tol):
@@ -769,15 +782,18 @@ def _commutes_pairwise(padded, tol):
 
     One scan per layer gives every such set (reachability follows the nonzero
     entries). The layer's pairs are then compared on the union of their rows
-    (`_pairs_commute`)."""
+    (`_pairs_commute`), as maps when all of them are maps and as matrices
+    otherwise."""
     n, w = padded.n, padded.widths[0]
-    basis = padded._map_op(np.arange(w), w)
     reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
     later = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]   # later[a, b]: a < b
     for j in range(padded.k):
-        stack = np.array([padded._pair(j * n + p) for p in range(n)])
+        pairs = [padded._pair(j * n + p) for p in range(n)]
+        if len({op.dtype.kind == "i" for pair in pairs for op in pair}) > 1:
+            pairs = [[padded._dense(op) for op in pair] for pair in pairs]
+        stack = np.array(pairs)
         # a boolean pair's edges stay boolean: + is or
-        edges = np.abs(stack[:, 0]) + np.abs(stack[:, 1]) if padded._MATRIX else stack
+        edges = stack if stack.dtype.kind == "i" else np.abs(stack[:, 0]) + np.abs(stack[:, 1])
         # states[a]: the states of own-order subsequences that skip position
         # a; states[n]: those of the whole layer so far; before[a, b]: states[a]
         # before position b
@@ -792,7 +808,7 @@ def _commutes_pairwise(padded, tol):
         reached = states[n]
         masks = before & later
         rows = np.flatnonzero(masks.any(axis=(0, 1)))
-        if rows.size and not _pairs_commute(padded, stack, basis[rows], masks[:, :, rows], tol):
+        if rows.size and not _pairs_commute(padded, stack, rows, masks[:, :, rows], tol):
             return False
         if padded.layer_ends[j] is not None:
             mapped = np.zeros(w, dtype=bool)
@@ -801,31 +817,33 @@ def _commutes_pairwise(padded, tol):
     return True
 
 
-def _pairs_commute(padded, stack, start, masks, tol):
+def _pairs_commute(padded, stack, rows, masks, tol):
     """Whether stack[a][α]·stack[b][β] and stack[b][β]·stack[a][α] agree on
-    the rows of `start` that masks[a, b] selects, for every two positions
-    a < b and all bits. first = start·stack is made once, and each side of a
-    pair is first[a]·stack[b] or first[b]·stack[a]. The pairs go in chunks of
-    at most limits.CHUNK_ROWS rows of a state's width per side. For index
-    maps a chunk is any run of pairs, and each side is one gather over it.
-    For matrices a chunk is one position a with a run of later positions:
-    each side is then one 2-d product on operators set side by side, which
-    keeps BLAS (a broadcast stack of products does not). first is made in
-    runs of as many positions as a chunk holds, so no product sets more
-    operators side by side than a chunk does."""
-    n, r, w = stack.shape[0], start.shape[0], padded.widths[0]
-    if not padded._MATRIX:
-        first = _then(padded, start, stack)   # [position, bit, row]
+    the `rows` (start nodes, or their basis vectors for matrices) that
+    masks[a, b] selects, for all a < b and bits. first = start·stack is
+    made once, and each side of a pair is first[a]·stack[b] or
+    first[b]·stack[a]. The pairs go in chunks of at most limits.CHUNK_ROWS
+    rows of a state's width per side. For index maps a chunk is any run of
+    pairs, and each side is one gather over it. For matrices a chunk is one
+    position a with a run of later positions: each side is then one 2-d
+    product on operators set side by side, which keeps BLAS (a broadcast
+    stack of products does not). first is made in runs of as many positions
+    as a chunk holds, so no product sets more operators side by side than a
+    chunk does."""
+    n, r, w = stack.shape[0], rows.shape[0], padded.widths[0]
+    if stack.dtype.kind == "i":
+        first = _then(rows, stack)   # [position, bit, row]
         a_all, b_all = np.triu_indices(n, 1)
         chunk = max(1, limits.CHUNK_ROWS * w // (4 * r))
         for lo in range(0, a_all.size, chunk):
             a, b = a_all[lo: lo + chunk], b_all[lo: lo + chunk]
-            a_first = _then(padded, first[a][:, :, None], stack[b][:, None])   # [pair, α, β, row]
-            b_first = _then(padded, first[b][:, None], stack[a][:, :, None])
+            a_first = _then(first[a][:, :, None], stack[b][:, None])   # [pair, α, β, row]
+            b_first = _then(first[b][:, None], stack[a][:, :, None])
             if _differ(a_first, b_first, masks[a, b][:, None, None], tol):
                 return False
         return True
     ops = stack.reshape((2 * n,) + stack.shape[2:])   # [(position, bit), ...]
+    start = np.eye(w, dtype=stack.dtype)[rows]
     group = max(1, limits.CHUNK_ROWS // (4 * r))
     first = np.concatenate([   # [(position, bit), row, node], a run of positions per product
         padded._act(start, padded._side_by_side(ops[lo: lo + 2 * group])).reshape(r, -1, w)
@@ -894,11 +912,9 @@ def is_commutative(program, trials=limits.COMMUTATIVITY_ORDERS, seed=0, tol=limi
 
 
 def _embedded(program, kind, **fields):
-    """The deterministic program as a `kind` program whose operators are its index maps."""
-    steps = [tuple(kind._map_op(t, program.widths[ell + 1]) for t in pair)
-             for ell, pair in enumerate(program.steps)]
+    """The deterministic program as a `kind` program with the same index maps."""
     return kind(n=program.n, k=program.k, order=program.order, widths=program.widths,
-                start=program.start, steps=_Packed(steps),
+                start=program.start, steps=_Packed(program.steps),
                 accepting=np.flatnonzero(program.sink_values), layer_ends=program.layer_ends,
                 **fields)
 
@@ -913,52 +929,33 @@ def embed_obdd_as_pobdd(program, epsilon=0.5):
     return _embedded(program, Pobdd, epsilon=epsilon)
 
 
+_ROW_TEXT = {   # one row of a level's per-input form as text, per kind
+    "obdd": str,
+    "nobdd": lambda row: "{%s}" % "|".join(str(t) for t, _ in row),
+    "pobdd": lambda row: "(%s)" % ";".join("%.12g>%d" % (p, t) for t, p in row),
+}
+
+
 def to_text(program):
-    """Line-oriented serialization: header, one line per level, sinks line."""
-    if not isinstance(program, (LeveledObdd, Nobdd, Pobdd)):
+    """Line-oriented serialization: header, one line per level, sinks line.
+    Each level's rows are written from its per-input forms, so a map and its
+    matrix give the same line."""
+    kind = {LeveledObdd: "obdd", Nobdd: "nobdd", Pobdd: "pobdd"}.get(type(program))
+    if kind is None:
         raise ShapeError("to_text expects a classical program; quantum.to_json serializes "
                          "a quantum program")
-    kind = (
-        "obdd"
-        if isinstance(program, LeveledObdd)
-        else "nobdd" if isinstance(program, Nobdd) else "pobdd"
-    )
-    lines = [
-        "%s %d %d %d order=%s"
-        % (kind, program.n, program.k, width(program), ",".join(map(str, program.order.perm)))
-    ]
-    for ell in range(program.k * program.n):
-        var = program.order.perm[ell % program.n]
-        parts = []
-        if isinstance(program, LeveledObdd):
-            t0, t1 = program.steps[ell]
-            for s in range(t0.shape[0]):
-                parts.append("%d:%d,%d" % (s, t0[s], t1[s]))
-        elif isinstance(program, Nobdd):
-            a0, a1 = program.steps[ell]
-            for s in range(a0.shape[0]):
-                s0 = "|".join(str(t) for t in np.nonzero(a0[s])[0])
-                s1 = "|".join(str(t) for t in np.nonzero(a1[s])[0])
-                parts.append("%d:{%s},{%s}" % (s, s0, s1))
-        else:
-            p0, p1 = program.steps[ell]
-            for s in range(p0.shape[0]):
-                def fmt(row):
-                    return ";".join(
-                        "%.12g>%d" % (row[t], t) for t in np.nonzero(row)[0]
-                    )
-                parts.append("%d:(%s),(%s)" % (s, fmt(p0[s]), fmt(p1[s])))
-        lines.append("L%d var=%d: %s" % (ell + 1, var, " ".join(parts)))
-        if (ell + 1) % program.n == 0:
-            end = program.layer_ends[(ell + 1) // program.n - 1]
-            if end is not None:
-                lines.append(
-                    "Lend%d: %s" % ((ell + 1) // program.n, ",".join(map(str, end)))
-                )
-    if isinstance(program, LeveledObdd):
-        lines.append(
-            "sinks: " + " ".join("%d=%d" % (s, v) for s, v in enumerate(program.sink_values))
-        )
+    n, row_text = program.n, _ROW_TEXT[kind]
+    lines = ["%s %d %d %d order=%s" % (kind, n, program.k, width(program),
+                                       ",".join(map(str, program.order.perm)))]
+    for ell, level in enumerate(program._per_input()[0]):
+        parts = ["%d:%s,%s" % (s, row_text(r0), row_text(r1))
+                 for s, (r0, r1) in enumerate(zip(*level))]
+        lines.append("L%d var=%d: %s" % (ell + 1, program.order.perm[ell % n], " ".join(parts)))
+        end = program.layer_ends[ell // n] if (ell + 1) % n == 0 else None
+        if end is not None:
+            lines.append("Lend%d: %s" % ((ell + 1) // n, ",".join(map(str, end))))
+    if kind == "obdd":
+        lines.append("sinks: " + " ".join("%d=%d" % sv for sv in enumerate(program.sink_values)))
     else:
         lines.append("accepting: " + ",".join(map(str, sorted(program.accepting))))
     return "\n".join(lines) + "\n"

@@ -4,14 +4,16 @@ against an accepting subset, and bounded-error verdicts for every program
 kind.
 
 A QuantumProgram is a `diagrams.LeveledProgram` whose operator is a unitary
-matrix acting on a column of amplitudes, so it runs on the same two routes as
-the classical kinds: `diagrams._whole_table` for every input and
-`diagrams._evaluate` for one input. A batch of row states is multiplied by
-`g.T`. One input gathers its amplitudes through each operator that is exactly
-a 0/1 permutation matrix (most levels of a lift, which move blocks between
-slots) and applies every other operator as a dense `g @ state`, checking the
-norm after each dense step. A gather neither rounds nor changes the norm, so
-the acceptance is the dense walk's, bit for bit.
+acting on a column of amplitudes, so it runs on the same two routes as the
+classical kinds: `diagrams._whole_table` for every input and
+`diagrams._evaluate` for one input. The constructor stores every exact 0/1
+permutation matrix as an index map (basis state i -> m[i]), as most levels
+of a lift are; `to_json` writes it as its matrix. A batch of row states is
+multiplied by `g.T` or moved through the map. One input gathers its
+amplitudes through each map's inverse and applies every other operator as a
+dense `g @ state`, checking the norm after each dense step. A gather neither
+rounds nor changes the norm, so the acceptance is the dense walk's, bit for
+bit.
 
 A QuantumProgram is immutable. Besides what every program derives once
 (`diagrams.LeveledProgram`: per-input forms, the whole table, the
@@ -49,16 +51,26 @@ def _deviation(g):
 
 
 def _as_unitary(mat, dim, where):
-    """The read-only copy of a unitary that a program stores, and its deviation from unitarity."""
-    g = np.asarray(mat, dtype=np.complex128)
-    if g.shape != (dim, dim):
-        raise ShapeError("%s must be a %dx%d matrix" % (where, dim, dim))
-    g = g.copy()   # measured on the stored copy, so `check_unitary` reads the same value
-    dev = _deviation(g)
-    if dev > limits.TOL:
-        raise StructuralError(
-            "%s deviates from unitarity by %.3g (tolerance %.1g)" % (where, dev, limits.TOL)
-        )
+    """The read-only operator that a program stores for a unitary, and its
+    deviation from unitarity. An index map (a program's own), which must be
+    a permutation, and an exact 0/1 permutation matrix are stored as the map
+    and deviate by exactly 0; any other matrix is stored as a copy."""
+    g, dev = np.asarray(mat), 0.0
+    if g.dtype.kind == "i" and g.shape == (dim,):
+        if not np.array_equal(np.sort(g), np.arange(dim)):
+            raise StructuralError("%s is an index map but not a permutation" % where)
+        g = g.astype(np.int64)
+    else:
+        g = g.astype(np.complex128)   # the stored copy, whose deviation `check_unitary` reads
+        if g.shape != (dim, dim):
+            raise ShapeError("%s must be a %dx%d matrix" % (where, dim, dim))
+        rows, cols = np.divmod(np.flatnonzero(g), dim)
+        if (np.array_equal(rows, np.arange(dim)) and np.all(g[rows, cols] == 1)
+                and np.bincount(cols).max() == 1):
+            g = np.argsort(cols)   # row r has its 1 in column cols[r]: state cols[r] -> r
+        elif (dev := _deviation(g)) > limits.TOL:
+            raise StructuralError("%s deviates from unitarity by %.3g (tolerance %.1g)"
+                                  % (where, dev, limits.TOL))
     g.setflags(write=False)
     return g, dev
 
@@ -67,11 +79,12 @@ class QuantumProgram(LeveledProgram):
     """Leveled quantum program: pairs of unitaries per variable, one measurement.
 
     Amplitudes are column vectors (one step is `g @ state`), so a batch of row
-    states is multiplied by `g.T`, and the lift's operators are the
-    transposes of the classical row-vector ones."""
+    states is multiplied by `g.T`, and the lift's matrices are the
+    transposes of the classical row-vector ones; its maps are the same."""
 
     __slots__ = ("dim", "initial", "accept", "_accept_idx", "_unitarity")
     _FIELDS = ("n", "dim", "order", "initial", "steps", "accept", "k")
+    _DTYPE = np.complex128
 
     def __init__(self, n, dim, order, initial, steps, accept, k=1):
         self.n = int(n)
@@ -125,24 +138,22 @@ class QuantumProgram(LeveledProgram):
     def _first(self, rows=None):
         return self.initial.copy() if rows is None else np.tile(self.initial, (rows, 1))
 
-    def _act(self, states, g):
-        return states @ np.swapaxes(g, -1, -2)   # g may be a stack of operators
+    def _product(self, states, g, out=None):
+        return np.matmul(states, np.swapaxes(g, -1, -2), out=out)   # g may be a stack of operators
 
     def _side_by_side(self, gs):
-        # stacked on top of each other, so that the transpose `_act` takes
-        # sets their row-vector actions side by side
+        # stacked on top of each other, so that the transpose `_product`
+        # takes sets their row-vector actions side by side
         return gs.reshape(-1, gs.shape[-1])
 
+    def _dense(self, g):
+        """The unitary of an operator: a map's sends basis state i to m[i]."""
+        return g if g.dtype.kind != "i" else super()._dense(g).T
+
     def _form(self, g):
-        """Per-input form of a unitary: when g is exactly a 0/1 permutation
-        matrix, the index array src with (g @ state)[r] == state[src[r]];
-        otherwise g itself."""
-        flat = np.flatnonzero(g)
-        rows, src = np.divmod(flat, self.dim)
-        if (flat.size == self.dim and np.array_equal(rows, np.arange(self.dim))
-                and np.all(g.ravel()[flat] == 1) and np.bincount(src).max() == 1):
-            return src
-        return g
+        """Per-input form of a unitary: for a map, its inverse src, so that
+        (g @ state)[r] == state[src[r]]; otherwise g itself."""
+        return g if g.dtype.kind != "i" else np.argsort(g)
 
     def _walk(self, forms):
         """The final amplitudes. A permutation form is a gather, which only
@@ -160,19 +171,6 @@ class QuantumProgram(LeveledProgram):
 
     def _readout(self, states):
         return np.sum(np.abs(states[..., self._accept_idx]) ** 2, axis=-1)
-
-    @classmethod
-    def _map_op(cls, m, width):
-        op = np.zeros((width, m.shape[0]), dtype=np.complex128)
-        op[m, np.arange(m.shape[0])] = 1
-        return op
-
-    @classmethod
-    def _block_op(cls, ops, targets):
-        q, w = len(ops), ops[0].shape[0]
-        big = np.zeros((q, w, q, w), dtype=np.complex128)
-        big[targets, :, np.arange(q), :] = np.stack(ops)
-        return big.reshape(q * w, q * w)
 
     def _lifted(self, n, steps, layer_ends, nodes):
         initial = np.zeros(nodes.shape[0], dtype=np.complex128)
@@ -335,7 +333,7 @@ def to_json(program):
         "accept": sorted(program.accept),
         "initial": _complex_to_pairs(program.initial),
         "steps": [
-            {"g0": _matrix_to_pairs(g0), "g1": _matrix_to_pairs(g1)}
+            {"g0": _matrix_to_pairs(program._dense(g0)), "g1": _matrix_to_pairs(program._dense(g1))}
             for g0, g1 in program.steps
         ],
     }

@@ -20,13 +20,15 @@ inputs, sampled rows at n too large for a table) is a call of it.
 `lift` is the paper's program-level construction, one for every program
 kind. Its states are q address slots times the (width-padded) base state
 space. An address bit moves the slot: its operator is the slot map tensored
-with the identity on base states. The value bit applies, block-diagonally,
-the base program's operator of the addressed variable, and then resets the
-slot (direct) or keeps the running xor (xor). The width is therefore exactly
-q times the base width. Base layer-end maps stay pinned at lifted layer
-boundaries, where the address slot is re-seeded to 0. `reorder_obdd`,
-`reorder_nobdd`, `reorder_pobdd` and `xor_reorder_qobdd` are `lift` for one
-kind each; the quantum lift needs xor mode, since a reset is not unitary.
+with the identity on base states, an index map on every kind. The value bit
+applies, block-diagonally, the base program's operator of the addressed
+variable, and then resets the slot (direct) or keeps the running xor (xor):
+an index map when every base operator it applies is one, else a (q·w)²
+matrix. The width is therefore exactly q times the base width. Base
+layer-end maps stay pinned at lifted layer boundaries, where the address
+slot is re-seeded to 0. `reorder_obdd`, `reorder_nobdd`, `reorder_pobdd` and
+`xor_reorder_qobdd` are `lift` for one kind each; the quantum lift needs xor
+mode, since a reset is not unitary.
 """
 from __future__ import annotations
 
@@ -225,8 +227,7 @@ def lift(program, layout, mode):
             "base program failed the commutativity check; reordering is undefined for it"
         )
     slot, node = np.divmod(np.arange(q * w), w)
-    address = [tuple(base._map_op(m[slot] * w + node, q * w) for m in pair)
-               for pair in _lift_address_maps(layout, mode)]
+    address = [tuple(m[slot] * w + node for m in pair) for pair in _lift_address_maps(layout, mode)]
     targets = np.zeros(q, dtype=np.int64) if mode == "direct" else np.arange(q)
     steps = []
     for j in range(base.k):

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import dense_op
 
 from ddlab.boolfn import BoolFn, Partition, PartialBoolFn, VarOrder, evaluate, n_min, subfunction_count
 from ddlab.diagrams import (acceptance_table, build_binary_tree_obdd, function_of,
@@ -164,7 +165,7 @@ def test_criterion_8_infrastructure_soundness(paper_core_reports):
             for _ in range(m.k):
                 for pos in range(m.n):
                     var = m.order.perm[pos]
-                    state = m.steps[pos][int(bits[var - 1])] @ state
+                    state = dense_op(m, m.steps[pos][int(bits[var - 1])]) @ state
                     worst = max(worst, abs(float(np.linalg.norm(state)) - 1.0))
     assert worst <= 1e-9
 

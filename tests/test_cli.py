@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, determinism."""
+import hashlib
 import json
 import os
 import shutil
@@ -74,6 +75,29 @@ def test_nsub_flag_usage_errors(capsys):
 def test_reorder_layout_usage_error(capsys):
     rc, _, err = run_cli(capsys, "reorder", "eq-obdd:2", "--layout", "3")
     assert rc == 2 and "power of two" in err
+
+
+# SHA-256 of `ddlab reorder SPEC --layout Q --mode M --text`, recorded before
+# lifts kept index maps as maps: the text and JSON of a lift must not change
+# with the storage of its operators
+LIFT_TEXT_SHA256 = {
+    ("eq-obdd:2", "xor"): "14e96def5fb3d3ecb36b517be44a5a580eb472dfdc4e4636d0abe50ed115fbc8",
+    ("eq-obdd:4", "xor"): "df88240af7651ea65ad2911cbb753775a375fdb2427550c3a01b93feac95cfe7",
+    ("or-nobdd:2", "direct"): "6ca936270a0417c44d330a05dbc94d99ee3fea517c178cf48e3281b561df7570",
+    ("or-nobdd:4", "direct"): "24c95bae306bd120674cf3c70733ec5f1269f431764da122dee2122f3e4ae448",
+    ("eq-pobdd:2", "xor"): "99a5f1f48a8c93df8836162de5c875a82dcc8256e47882199972982dff70a596",
+    ("eq-pobdd:4", "xor"): "87fcbfd1e54f28cf502dab9115fea420359def0519f819adcda8a15c49825898",
+    ("eq-qobdd:2", "xor"): "0f82d0201d58e8fd84b4370b32b5ea68c381dc05425ae7bce0c423892ebd51c2",
+    ("eq-qobdd:4", "xor"): "63e5c8cbfd1e5266f6e6a2c00753867077acc1553e9e2c72e827e489fbcde52b",
+}
+
+
+@pytest.mark.parametrize("spec, mode", sorted(LIFT_TEXT_SHA256))
+def test_lift_serialization_is_pinned(capsys, spec, mode):
+    q = spec.split(":")[1]
+    rc, out, _ = run_cli(capsys, "reorder", spec, "--layout", q, "--mode", mode, "--text")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIFT_TEXT_SHA256[spec, mode]
 
 
 def test_reorder_arity_mismatch_is_a_usage_error(capsys):

@@ -8,13 +8,13 @@ the sampled route runs:
 reordered to each sampled order, and each order's table is compared with the
 program's own. The reference below runs every input through the padded
 program's levels in the order: each level sends the rows that read 0 through
-the kind's `_act` with its bit-0 operator and the rest with its bit-1
-operator, and the layer-end maps stay pinned at layer boundaries. Both
-routes must give the same outputs, exactly for 0/1 outputs and within 1e-12
-for acceptance probabilities, and the same verdicts; a certified program
-must be commutative by the reference. The all-states pairwise check that the
-certificate refines is kept here as a reference too: whatever it certifies,
-the certificate must certify.
+the kind's `_act` with the dense matrix of its bit-0 operator and the rest
+with that of its bit-1 operator, and the layer-end maps stay pinned at layer
+boundaries. Both routes must give the same outputs, exactly for 0/1 outputs
+and within 1e-12 for acceptance probabilities, and the same verdicts; a
+certified program must be commutative by the reference. The all-states
+pairwise check that the certificate refines is kept here as a reference too:
+whatever it certifies, the certificate must certify.
 """
 import itertools
 import math
@@ -22,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_op, embedded_from_rows
 
 from ddlab import diagrams, limits
 from ddlab.boolfn import VarOrder
@@ -55,10 +56,10 @@ def _reference_profile(padded, perm):
             pair, bit = padded._pair(j * n + position[v]), columns[v - 1]
             nxt = np.empty_like(states)   # the padded levels have equal widths
             for b in (0, 1):
-                nxt[bit == b] = padded._act(states[bit == b], pair[b])
+                nxt[bit == b] = padded._act(states[bit == b], dense_op(padded, pair[b]))
             states = nxt
         if padded.layer_ends[j] is not None:
-            states = padded._end(states, padded.layer_ends[j])
+            states = padded._act(states, dense_op(padded, padded.layer_ends[j]))
     return padded._readout(states)
 
 
@@ -73,9 +74,9 @@ def _reference_commutes_pairwise(padded, tol=limits.TOL):
     """The all-states pairwise check: within every layer, the operators of
     every two distinct variables commute on every state, one pair at a time."""
     n, w = padded.n, padded.widths[0]
-    basis = padded._map_op(np.arange(w), w)
+    basis = dense_op(padded, np.arange(w))
     for j in range(padded.k):
-        pairs = [padded._pair(j * n + p) for p in range(n)]
+        pairs = [[dense_op(padded, op) for op in padded._pair(j * n + p)] for p in range(n)]
         images = [np.stack([padded._act(basis, op) for op in pair]) for pair in pairs]
         for a, b in itertools.combinations(range(n), 2):
             a_first = np.stack([padded._act(images[a], op) for op in pairs[b]])
@@ -90,11 +91,12 @@ def _reference_commutes_pairwise(padded, tol=limits.TOL):
 
 # the per-position certificate that the batched one replaced, kept as its
 # reference: one product per position a, against every later position b in
-# groups, on the rows that some before[a, b] selects
+# groups, on the rows that some before[a, b] selects; every operator of a
+# matrix kind is compared as its dense matrix
 
 
 def _reference_successors(padded, masks, pair):
-    if padded._MATRIX:
+    if pair[0].dtype.kind != "i":
         return padded._act(masks.astype(np.float64), np.abs(pair[0]) + np.abs(pair[1])) > 0
     out = np.zeros_like(masks)
     rows, nodes = np.nonzero(masks)
@@ -104,19 +106,20 @@ def _reference_successors(padded, masks, pair):
 
 
 def _reference_then(padded, images, ops):
-    if padded._MATRIX:
+    if ops.dtype.kind != "i":
         return padded._act(images, ops)
     w = ops.shape[-1]
     offsets = np.arange(0, ops.size, w).reshape(ops.shape[:-1] + (1,))
-    return padded._act(images + offsets, ops.ravel())
+    return ops.ravel()[images + offsets]
 
 
 def _per_position_certificate(padded, tol=limits.TOL):
     n, w = padded.n, padded.widths[0]
-    basis = padded._map_op(np.arange(w), w)
-    reached = padded._first() != 0 if padded._MATRIX else np.arange(w) == padded._first()
+    basis = dense_op(padded, np.arange(w))
+    obdd = isinstance(padded, LeveledObdd)
+    reached = np.arange(w) == padded._first() if obdd else padded._first() != 0
     for j in range(padded.k):
-        pairs = [padded._pair(j * n + p) for p in range(n)]
+        pairs = [[dense_op(padded, op) for op in padded._pair(j * n + p)] for p in range(n)]
         skips, before = np.tile(reached, (n, 1)), np.empty((n, n, w), dtype=bool)
         for b, pair in enumerate(pairs):
             before[:, b] = skips
@@ -128,7 +131,7 @@ def _per_position_certificate(padded, tol=limits.TOL):
             rows = np.flatnonzero(before[a, a + 1:].any(axis=0))
             start, own = basis[rows], stack[a]
             first = _reference_then(padded, start, own)[None, None]
-            group = max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1))) if padded._MATRIX else n
+            group = n if obdd else max(1, limits.CHUNK_ROWS // (4 * max(rows.size, 1)))
             for lo in range(a + 1, n, group):
                 later, masks = stack[lo: lo + group], before[a, lo: lo + group]
                 a_first = _reference_then(padded, first, later[:, :, None])
@@ -138,7 +141,7 @@ def _per_position_certificate(padded, tol=limits.TOL):
                     differ = a_first != b_first
                 else:
                     differ = np.abs(a_first - b_first) > tol
-                if padded._MATRIX:
+                if not obdd:
                     differ = differ.any(axis=-1)
                 if np.any(differ & masks[:, None, None, rows]):
                     return False
@@ -441,15 +444,16 @@ def test_the_certificate_is_sound_and_refines_the_all_states_check(kind):
 
 
 def test_the_certificate_batches_its_products(monkeypatch):
+    # pj-2k's operators are index maps, so each product is a gather (`_then`)
     program = parse_program_spec("pj-2k:2,4")
     padded = _padded(program)
-    act, calls = type(padded)._act, []
+    then, calls = diagrams._then, []
 
-    def counted(self, states, op):
-        calls.append(op.shape)
-        return act(self, states, op)
+    def counted(images, ops):
+        calls.append(ops.shape)
+        return then(images, ops)
 
-    monkeypatch.setattr(type(padded), "_act", counted)
+    monkeypatch.setattr(diagrams, "_then", counted)
     assert _commutes_pairwise(padded, limits.TOL)
     k, n = program.k, program.n
     assert (k, n) == (4, 24)
@@ -495,15 +499,23 @@ def _budget_program(spec):
         program = _tagged_counter(int(name.split(":")[1]))
     else:
         program = parse_program_spec(name)
-    embed = {"": lambda p: p, "nobdd": embed_obdd_as_nobdd, "pobdd": embed_obdd_as_pobdd}
+    embed = {"": lambda p: p, "nobdd": embed_obdd_as_nobdd, "pobdd": embed_obdd_as_pobdd,
+             "nobdd rows": lambda p: embedded_from_rows(p, Nobdd),
+             "pobdd rows": lambda p: embedded_from_rows(p, Pobdd)}
     return embed[kind](program)
 
 
 # the tagged counters fail the certificate, so the fallback runs every order
-# of a commutative program; or-nobdd:12 and pj-2k:3,2 certify
+# of a commutative program; or-nobdd:12 and pj-2k:3,2 certify. "as nobdd"
+# keeps the counter's index maps, and "as nobdd rows" builds it from per-node
+# rows, whose operators are matrices
 @pytest.mark.parametrize("spec, trials", [("tagged:8", 200), ("tagged:12", 50),
                                           ("tagged:8 as nobdd", 200), ("tagged:12 as nobdd", 50),
                                           ("tagged:8 as pobdd", 200), ("tagged:12 as pobdd", 50),
+                                          ("tagged:8 as nobdd rows", 200),
+                                          ("tagged:12 as nobdd rows", 50),
+                                          ("tagged:8 as pobdd rows", 200),
+                                          ("tagged:12 as pobdd rows", 50),
                                           ("or-nobdd:12", 200), ("pj-2k:3,2", 200)])
 def test_commutativity_check_stays_within_the_chunk_budget(spec, trials):
     program = _budget_program(spec)

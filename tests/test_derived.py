@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import dense_op
 
 from ddlab import diagrams
 from ddlab.boolfn import VarOrder
@@ -166,10 +167,10 @@ def test_dropped_programs_are_freed_without_the_cycle_collector():
 
 
 def _recomputed_deviation(program):
-    """The running max over the stored matrices of max|G†G - I|."""
+    """The running max over the stored operators' matrices of max|G†G - I|."""
     worst = 0.0
     for pair in program.steps:
-        for g in pair:
+        for g in (dense_op(program, op) for op in pair):
             worst = max(worst, float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0])))))
     return worst
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import dense_op, embedded_from_rows
 
 from ddlab import diagrams, limits
 from ddlab.boolfn import BoolFn, VarOrder
@@ -187,19 +188,19 @@ def _per_entry_product(states, op):
 def test_boolean_product_on_the_certificate_stacks_equals_a_per_entry_product(chunk_rows,
                                                                               monkeypatch):
     # every product the certificate makes on two boolean bases, one of them
-    # layered: each is one 2-d product on operators set side by side; at 64
-    # chunk rows a float block holds 4 state rows, and a product one or two
-    # later positions
-    calls, act = [], Nobdd._act
+    # layered (built from per-node rows, so its operators are matrices): each
+    # is one 2-d product on operators set side by side; at 64 chunk rows a
+    # float block holds 4 state rows, and a product one or two later positions
+    calls, product = [], Nobdd._product
 
-    def recorded(self, states, op):
-        out = act(self, states, op)
+    def recorded(self, states, op, out=None):
+        out = product(self, states, op, out)
         calls.append((states, op, out))
         return out
 
     monkeypatch.setattr(limits, "CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr(Nobdd, "_act", recorded)
-    for program in (or_guess_nobdd(8), embed_obdd_as_nobdd(pj_2k_obdd(2, 2))):
+    monkeypatch.setattr(Nobdd, "_product", recorded)
+    for program in (or_guess_nobdd(8), embedded_from_rows(pj_2k_obdd(2, 2), Nobdd)):
         assert _commutes_pairwise(diagrams._padded(program), limits.TOL)
     assert calls and {(states.ndim, op.ndim) for states, op, _ in calls} == {(2, 2)}
     for states, op, out in calls:
@@ -214,8 +215,12 @@ def test_layer_end_forms_equal_the_forms_of_their_dense_matrices(embed):
     assert any(end is not None for end in program.layer_ends)
     for j, end in enumerate(program.layer_ends):
         if end is not None:
-            dense = program._map_op(end, program.widths[(j + 1) * program.n])
-            assert repr(forms[j]) == repr(program._form(dense))   # the weights' types too
+            assert repr(forms[j]) == repr(program._form(dense_op(program, end)))   # types too
+    # the embedded levels are the deterministic program's maps, onto the next level's width
+    for ell, (pair, level) in enumerate(zip(program.steps, program._per_input()[0])):
+        for op, form in zip(pair, level):
+            assert op.dtype.kind == "i"
+            assert repr(form) == repr(program._form(dense_op(program, op, program.widths[ell + 1])))
 
 
 @pytest.mark.parametrize("spec, evaluate", [("eq-obdd:4", eval_obdd), ("or-nobdd:4", eval_nobdd),
@@ -253,7 +258,7 @@ def test_layer_end_adds_in_the_order_of_np_add_at(program):
         states[:, [0, 3, 4, 6]] *= [1.0, 1.0, -1.0, 1.0]
     reference = np.zeros_like(states)
     np.add.at(reference.T, end, states.T)
-    mapped = program._end(states, end)
+    mapped = program._act(states, end)
     assert mapped.dtype == states.dtype and np.array_equal(mapped, reference)
     if program._DTYPE is not bool:
         # a sum in another order than np.add.at's differs on some row
@@ -286,7 +291,7 @@ def test_layer_end_equals_the_column_loop_bit_for_bit(dtype):
             states = rng.random(shape) * 10.0 ** rng.integers(-8, 17, shape)
             if dtype is np.complex128:
                 states = states + 1j * rng.random(shape) * 10.0 ** rng.integers(-8, 17, shape)
-        mapped, reference = program._end(states, end), _column_loop_end(states, end)
+        mapped, reference = program._act(states, end), _column_loop_end(states, end)
         assert mapped.dtype == reference.dtype and mapped.shape == reference.shape
         assert np.ascontiguousarray(mapped).tobytes() == reference.tobytes()
 

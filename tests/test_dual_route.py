@@ -11,6 +11,7 @@ and each block applies the padded base's operator of its addressed variable.
 """
 import numpy as np
 import pytest
+from conftest import embedded_from_rows
 
 from ddlab.diagrams import (LeveledObdd, Nobdd, Pobdd, _padded, acceptance_table,
                             embed_obdd_as_nobdd, embed_obdd_as_pobdd, eval_nobdd, eval_obdd,
@@ -62,11 +63,17 @@ def test_per_input_route_matches_table_on_programs(spec):
     _assert_routes_agree(parse_program_spec(spec))
 
 
-@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd])
+@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd,
+                                   lambda p: embedded_from_rows(p, Nobdd),
+                                   lambda p: embedded_from_rows(p, Pobdd)],
+                         ids=["embed_obdd_as_nobdd", "embed_obdd_as_pobdd", "nobdd_from_rows",
+                              "pobdd_from_rows"])
 def test_per_input_route_matches_table_on_matrix_kinds_with_layer_ends(embed):
-    # the per-input route remaps the live nodes at each layer end
+    # the per-input route remaps the live nodes at each layer end, on levels
+    # that are the deterministic program's maps or matrices built from rows
     program = embed(pj_2k_obdd(2, 2))
-    assert program._MATRIX and any(end is not None for end in program.layer_ends)
+    assert isinstance(program, (Nobdd, Pobdd))
+    assert any(end is not None for end in program.layer_ends)
     _assert_routes_agree(program)
 
 
@@ -140,19 +147,13 @@ def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkey
     # a q = 8 lift repeats 8 operator objects over its 32 levels
     layout, base = BlockLayout(8), parse_program_spec(spec)
     program = lift(base, layout, mode)
-    built, built_ends = [], []
-    form, end_form = type(program)._form, type(program)._end_form
+    built, form = [], type(program)._form
 
     def counted(self, op):
         built.append(op)
         return form(self, op)
 
-    def counted_end(self, end):
-        built_ends.append(end)
-        return end_form(self, end)
-
     monkeypatch.setattr(type(program), "_form", counted)
-    monkeypatch.setattr(type(program), "_end_form", counted_end)
     rng = np.random.default_rng(8)
     xs = [tuple(int(b) for b in rng.integers(0, 2, program.n)) for _ in range(3)]
     meaning = _lift_meaning(base, layout, mode, xs)
@@ -161,6 +162,6 @@ def test_per_input_forms_are_built_once_per_distinct_operator(spec, mode, monkey
     operators = {id(op) for pair in program.steps for op in pair}
     ends = sum(end is not None for end in program.layer_ends)
     assert len(operators) == 8 * program.k
-    # each layer end's form is built once, from its index map
-    assert (len(built), len(built_ends)) == (len(operators), ends)
+    # each operator's and each layer end's form is built once
+    assert len(built) == len(operators) + ends
     assert operators <= {id(op) for op in built}

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_op
 
 from ddlab import limits, quantum
 from ddlab.boolfn import BoolFn, PartialBoolFn, VarOrder
@@ -284,11 +285,13 @@ def test_per_step_norm_drift_detected():
 
 
 def _dense_walk(program, x):
-    """The dense reference walk: `g @ state` at every level with the norm
-    checked after each step, then the accepting mass."""
+    """The dense reference walk: `g @ state` at every level, with each
+    stored map as its matrix, and the norm checked after each step; then the
+    accepting mass."""
     state = program.initial
     for ell in range(program.k * program.n):
-        state = program._pair(ell)[x[program.order.perm[ell % program.n] - 1]] @ state
+        g = program._pair(ell)[x[program.order.perm[ell % program.n] - 1]]
+        state = dense_op(program, g) @ state
         norm = math.sqrt(np.vdot(state, state).real)
         if abs(norm - 1.0) > limits.TOL:
             raise StructuralError("state norm drifted to %.15g during the run" % norm)
@@ -317,25 +320,39 @@ def test_gathered_walk_equals_the_dense_walk_exactly(spec, q):
     assert [accept_probability(program, x) for x in xs] == [_dense_walk(program, x) for x in xs]
 
 
-def _is_gather(form, g):
-    if form.ndim != 1:
+def _is_gather(program, op, g):
+    """Whether the program stores the unitary g as the map op, whose
+    per-input form gathers the amplitudes of g @ state."""
+    if op.dtype.kind != "i":
         return False
+    assert np.array_equal(dense_op(program, op), g)
     state = np.random.default_rng(1).normal(size=(g.shape[0], 2)) @ [1, 1j]
-    assert np.array_equal(g @ state, state[form])
+    assert np.array_equal(g @ state, state[program._form(op)])
     return True
 
 
+def _stored(g):
+    """The operator a one-variable program stores for the unitary g."""
+    return QuantumProgram(n=1, dim=g.shape[0], order=VarOrder.identity(1),
+                          initial=np.eye(g.shape[0])[0], steps=[(g, g)], accept=[1]).steps[0][0]
+
+
 def test_exact_permutation_matrices_take_the_gather_form():
+    # the constructor stores them as maps, whose per-input form is a gather
     program = _lifted("eq-qobdd-recombined:8", 8)
     eye = np.eye(program.dim, dtype=np.complex128)
-    assert _is_gather(program._form(eye), eye)
+    assert _is_gather(program, _stored(eye), eye)
     shuffled = eye[np.random.default_rng(3).permutation(program.dim)]
-    assert _is_gather(program._form(shuffled), shuffled)
-    # the six address matrices and the value step's bit-0 identity; its bit-1
+    assert _is_gather(program, _stored(shuffled), shuffled)
+    # the six address maps and the value step's bit-0 identity; its bit-1
     # matrix turns the rotations, so it stays dense
     distinct = {id(g): g for pair in program.steps for g in pair}.values()
     assert len(distinct) == 8
-    assert sum(_is_gather(program._form(g), g) for g in distinct) == 7
+    assert sum(_is_gather(program, g, dense_op(program, g)) for g in distinct) == 7
+    # a map is stored as it is given, and must be a permutation
+    assert np.array_equal(_stored(np.array([1, 0, 3, 2])), [1, 0, 3, 2])
+    with pytest.raises(StructuralError, match="not a permutation"):
+        _stored(np.array([1, 1, 3, 2]))
 
 
 def test_signed_phased_and_scaled_permutations_stay_dense():
@@ -344,10 +361,11 @@ def test_signed_phased_and_scaled_permutations_stay_dense():
     signed, phased = swap.copy(), swap * 1j
     signed[2, 3] = -1
     scaled = (1 + 4e-10) * np.eye(program.dim, dtype=np.complex128)
-    assert _is_gather(program._form(swap), swap)
+    assert _is_gather(program, _stored(swap), swap)
     for g in (signed, phased, scaled):
-        form = program._form(g)
-        assert form.ndim == 2 and np.array_equal(form, g)
+        stored = _stored(g)
+        assert stored.ndim == 2 and np.array_equal(stored, g)
+        assert program._form(stored) is stored
 
 
 def test_json_round_trip():

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import embedded_from_rows
 from test_commutativity_routes import RANDOM_KINDS
 from test_dual_route import _assert_single_matches
 
@@ -89,12 +90,17 @@ def test_table_in_blocks_of_chunk_rows_matches_and_stays_within_the_budget(monke
         assert peak <= 4 * state_bytes + operator_bytes + 4 * index_bytes
 
 
-@pytest.mark.parametrize("embed", [embed_obdd_as_nobdd, embed_obdd_as_pobdd])
+@pytest.mark.parametrize("embed", [lambda p: embedded_from_rows(p, Nobdd),
+                                   lambda p: embedded_from_rows(p, Pobdd),
+                                   embed_obdd_as_nobdd, embed_obdd_as_pobdd],
+                         ids=["nobdd_from_rows", "pobdd_from_rows", "embed_obdd_as_nobdd",
+                              "embed_obdd_as_pobdd"])
 def test_stacked_levels_in_blocks_match_the_per_input_route_on_layered_programs(embed,
                                                                                 monkeypatch):
     # n = 8 above c = log2(64) = 6: the table runs in four blocks of 64 rows,
     # and each of the three layers after the first re-splits its first six
-    # levels, all as products on stacked operator pairs
+    # levels, as products on stacked operator pairs when the program is built
+    # from per-node rows, and per map on the embedded deterministic maps
     program = embed(pj_2k_obdd(2, 2))
     assert (program.n, program.k) == (8, 4)
     monkeypatch.setattr(limits, "CHUNK_ROWS", 64)
